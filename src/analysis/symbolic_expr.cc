@@ -282,7 +282,8 @@ std::string ExprToString(const Expr* e, int max_depth) {
   }
   std::string out = std::string("(") + name;
   for (const Expr* op : e->operands) {
-    out += " " + ExprToString(op, max_depth - 1);
+    out += ' ';
+    out += ExprToString(op, max_depth - 1);
   }
   return out + ")";
 }

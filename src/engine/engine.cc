@@ -34,6 +34,24 @@ std::uint64_t SaturatingDelta(std::uint64_t after, std::uint64_t before) {
   return after > before ? after - before : 0;
 }
 
+// The distinct fact columns a plan reads, in first-touch order (filters,
+// join keys, measures). The chunked scan keeps one decode buffer and one
+// decode.<column> stats row per entry.
+std::vector<const ssb::Column*> PlanColumns(const StarPlan& plan) {
+  std::vector<const ssb::Column*> cols;
+  auto add = [&](const ssb::Column* col) {
+    if (col != nullptr &&
+        std::find(cols.begin(), cols.end(), col) == cols.end()) {
+      cols.push_back(col);
+    }
+  };
+  for (const RangeFilter& f : plan.filters) add(f.col);
+  for (const JoinStage& j : plan.joins) add(j.fact_key);
+  add(plan.value_a);
+  add(plan.value_b);
+  return cols;
+}
+
 }  // namespace
 
 struct SsbEngine::Impl {
@@ -206,7 +224,8 @@ struct SsbEngine::Impl {
   // into the caller's agg/cnt arrays (sized plan.gid_domain).
   //
   // When `accs` is non-null, per-operator wall time / row counts are
-  // accumulated into it (layout: filters, then probes, then group-by); a
+  // accumulated into it (layout: filters, then probes, then group-by,
+  // then — on the chunked scan — one decode row per PlanColumns entry); a
   // non-null `pmu` additionally brackets every operator with group reads
   // so counter deltas attribute to operators. Both null on the default
   // path, which then pays nothing beyond a branch per operator per block.
@@ -229,26 +248,25 @@ struct SsbEngine::Impl {
 
     // Chunked scan: resolve each distinct plan column to its chunked
     // shadow once, and pair it with a decoded-block buffer. Inside the
-    // block loop `column_base` decodes a column's block on first touch —
-    // columns a filter chain already killed the block for never decode.
+    // block loop a column decodes on first touch — columns a filter chain
+    // already killed the block for never decode — and a column first
+    // touched after the selection shrank decodes only the surviving rows.
     const ssb::ChunkedFact* chunked =
         config.chunked_scan ? db.chunked.get() : nullptr;
     struct DecodedCol {
       const ssb::Column* flat = nullptr;
       const storage::ChunkedColumn* col = nullptr;
       std::uint64_t* data = nullptr;
-      bool ready = false;
+      // The block's values once fully decoded (`data`, or the chunk's own
+      // payload for a plain chunk); null until then.
+      const std::uint64_t* base = nullptr;
     };
     std::array<DecodedCol, 8> dcols;
     std::size_t n_dcols = 0;
     const std::size_t chunk_rows =
         chunked != nullptr ? chunked->chunk_rows() : 0;
     if (chunked != nullptr) {
-      auto add = [&](const ssb::Column* flat) {
-        if (flat == nullptr) return;
-        for (std::size_t i = 0; i < n_dcols; ++i) {
-          if (dcols[i].flat == flat) return;
-        }
+      for (const ssb::Column* flat : PlanColumns(plan)) {
         const storage::ChunkedColumn* col = chunked->Find(flat);
         HEF_CHECK_MSG(col != nullptr,
                       "chunked scan: plan column is not a fact column");
@@ -257,13 +275,9 @@ struct SsbEngine::Impl {
         if (buf.decoded[n_dcols].capacity() < block) {
           buf.decoded[n_dcols].Allocate(block, 64);
         }
-        dcols[n_dcols] = {flat, col, buf.decoded[n_dcols].data(), false};
+        dcols[n_dcols] = {flat, col, buf.decoded[n_dcols].data(), nullptr};
         ++n_dcols;
-      };
-      for (const RangeFilter& f : plan.filters) add(f.col);
-      for (const JoinStage& j : plan.joins) add(j.fact_key);
-      add(plan.value_a);
-      add(plan.value_b);
+      }
       buf.decode_scratch.EnsureCapacity(block);
     }
 
@@ -284,11 +298,17 @@ struct SsbEngine::Impl {
     // predictable branch) when stats are off; with stats they read the
     // monotonic clock, and with a PMU attached also snapshot the counter
     // group, so deltas land on the operator that spent them.
+    //
+    // Decode runs inside the window of the operator that touches a column;
+    // its cost is carved out of that window (`carved`) and booked on the
+    // column's own decode.<column> row instead.
     const bool stats = accs != nullptr;
     std::uint64_t op_t0 = 0;
     PerfReading op_p0;
+    OpAcc carved;
     auto op_begin = [&] {
       if (!stats) return;
+      carved = OpAcc();
       if (pmu != nullptr) op_p0 = pmu->ReadNow();
       op_t0 = MonotonicNanos();
     };
@@ -299,7 +319,7 @@ struct SsbEngine::Impl {
                       std::uint64_t out_rows, bool count_call = true) {
       if (!stats) return;
       OpAcc& a = (*accs)[idx];
-      a.nanos += MonotonicNanos() - op_t0;
+      a.nanos += SaturatingDelta(MonotonicNanos() - op_t0, carved.nanos);
       if (count_call) {
         ++a.calls;
         a.rows_in += in_rows;
@@ -308,10 +328,14 @@ struct SsbEngine::Impl {
       if (pmu != nullptr) {
         const PerfReading p1 = pmu->ReadNow();
         if (p1.valid && op_p0.valid) {
-          a.instructions +=
-              SaturatingDelta(p1.instructions, op_p0.instructions);
-          a.cycles += SaturatingDelta(p1.cycles, op_p0.cycles);
-          a.llc_misses += SaturatingDelta(p1.llc_misses, op_p0.llc_misses);
+          a.instructions += SaturatingDelta(
+              SaturatingDelta(p1.instructions, op_p0.instructions),
+              carved.instructions);
+          a.cycles += SaturatingDelta(
+              SaturatingDelta(p1.cycles, op_p0.cycles), carved.cycles);
+          a.llc_misses += SaturatingDelta(
+              SaturatingDelta(p1.llc_misses, op_p0.llc_misses),
+              carved.llc_misses);
           a.pmu_valid = true;
           a.pmu_scaled = a.pmu_scaled || p1.scaled;
         }
@@ -319,6 +343,48 @@ struct SsbEngine::Impl {
     };
     const std::size_t probe_acc_base = plan.filters.size();
     const std::size_t groupby_acc = probe_acc_base + plan.joins.size();
+    const std::size_t decode_acc_base = groupby_acc + 1;
+
+    // Runs `decode` (which returns the number of values it materialised)
+    // for plan column `di` over a block of `block_rows` rows, booking it
+    // on the column's decode row and carving it out of the enclosing
+    // operator window.
+    auto timed_decode = [&](std::size_t di, std::size_t block_rows,
+                            auto&& decode) {
+      if (!stats) {
+        decode();
+        return;
+      }
+      PerfReading p0;
+      if (pmu != nullptr) p0 = pmu->ReadNow();
+      const std::uint64_t t0 = MonotonicNanos();
+      const std::uint64_t values = decode();
+      const std::uint64_t dt = MonotonicNanos() - t0;
+      OpAcc& a = (*accs)[decode_acc_base + di];
+      a.nanos += dt;
+      ++a.calls;
+      a.rows_in += block_rows;
+      a.rows_out += values;
+      carved.nanos += dt;
+      if (pmu != nullptr) {
+        const PerfReading p1 = pmu->ReadNow();
+        if (p1.valid && p0.valid) {
+          const std::uint64_t ins =
+              SaturatingDelta(p1.instructions, p0.instructions);
+          const std::uint64_t cyc = SaturatingDelta(p1.cycles, p0.cycles);
+          const std::uint64_t llc =
+              SaturatingDelta(p1.llc_misses, p0.llc_misses);
+          a.instructions += ins;
+          a.cycles += cyc;
+          a.llc_misses += llc;
+          a.pmu_valid = true;
+          a.pmu_scaled = a.pmu_scaled || p1.scaled;
+          carved.instructions += ins;
+          carved.cycles += cyc;
+          carved.llc_misses += llc;
+        }
+      }
+    };
 
     // Payload slots probed so far in the current block (schema-order slot
     // ids; probe order may differ after the selectivity sort).
@@ -345,27 +411,35 @@ struct SsbEngine::Impl {
       std::size_t n = bn;
       bool identity = true;  // rows == [0, n), block-local
       probed_count = 0;
-      for (std::size_t i = 0; i < n_dcols; ++i) dcols[i].ready = false;
+      for (std::size_t i = 0; i < n_dcols; ++i) dcols[i].base = nullptr;
 
-      // Base pointer of a fact column for this block: flat data at b0,
-      // or the block decoded from the chunked shadow on first touch.
-      // Row ids are block-local, so every downstream gather works off
-      // this base regardless of the storage layout.
-      auto column_base = [&](const ssb::Column& col)
-          -> const std::uint64_t* {
-        if (chunked == nullptr) return col.data() + b0;
+      // Index of a fact column among the chunked scan's plan columns.
+      auto dcol_index = [&](const ssb::Column& col) -> std::size_t {
         for (std::size_t i = 0; i < n_dcols; ++i) {
-          DecodedCol& d = dcols[i];
-          if (d.flat != &col) continue;
-          if (!d.ready) {
-            d.col->DecodeRange(decode_cfg, b0, bn, buf.decode_scratch,
-                               d.data);
-            d.ready = true;
-          }
-          return d.data;
+          if (dcols[i].flat == &col) return i;
         }
         HEF_CHECK_MSG(false, "column not registered for chunked scan");
         __builtin_unreachable();
+      };
+
+      // Base pointer of a fact column for this block: flat data at b0,
+      // or the whole block from the chunked shadow, decoded on first
+      // touch (plain chunks hand out their payload without a copy). Row
+      // ids are block-local, so every downstream gather works off this
+      // base regardless of the storage layout.
+      auto column_base = [&](const ssb::Column& col)
+          -> const std::uint64_t* {
+        if (chunked == nullptr) return col.data() + b0;
+        const std::size_t di = dcol_index(col);
+        DecodedCol& d = dcols[di];
+        if (d.base == nullptr) {
+          timed_decode(di, bn, [&]() -> std::uint64_t {
+            d.base = d.col->DecodeBlock(decode_cfg, b0, bn,
+                                        buf.decode_scratch, d.data);
+            return d.base == d.data ? bn : 0;
+          });
+        }
+        return d.base;
       };
 
       // Applies the survivor positions in pos[0..m) to the row-id vector
@@ -388,10 +462,25 @@ struct SsbEngine::Impl {
         n = m;
       };
 
-      // Fetches a fact column for the current selection.
+      // Fetches a fact column for the current selection. A chunked
+      // column first touched after the selection shrank decodes only the
+      // selected rows, straight into `out` (late materialisation); the
+      // block stays undecoded for any later touch.
       auto fetch = [&](const ssb::Column& col,
                        AlignedBuffer<std::uint64_t>& out)
           -> const std::uint64_t* {
+        if (chunked != nullptr && !identity) {
+          const std::size_t di = dcol_index(col);
+          const DecodedCol& d = dcols[di];
+          if (d.base == nullptr) {
+            timed_decode(di, bn, [&]() -> std::uint64_t {
+              d.col->GatherDecode(decode_cfg, b0, rows.data(), n,
+                                  buf.decode_scratch, out.data());
+              return n;
+            });
+            return out.data();
+          }
+        }
         const std::uint64_t* base = column_base(col);
         if (identity) return base;
         GatherArray(gather_cfg, base, rows.data(), out.data(), n);
@@ -577,6 +666,18 @@ struct SsbEngine::Impl {
       s.invocations = 1;
       ops.push_back(std::move(s));
     }
+    // Chunked scan: decode rows sit at the leaf of the pipeline, one per
+    // plan column (accumulators after the group-by's; see ExecuteRange).
+    const std::size_t decode_acc_base =
+        plan.filters.size() + plan.joins.size() + 1;
+    if (accs.size() > decode_acc_base) {
+      const std::vector<const ssb::Column*> cols = PlanColumns(plan);
+      for (std::size_t i = 0; i < cols.size(); ++i) {
+        ops.push_back(to_stats(
+            std::string("decode.") + FactColumnName(lo, cols[i]),
+            accs[decode_acc_base + i]));
+      }
+    }
     // Pruning stages align with the filter-then-join operator order, so
     // `idx` doubles as the ChunkPruning stage index.
     auto attach_chunks = [&](OperatorStats& s, std::size_t stage) {
@@ -627,9 +728,8 @@ struct SsbEngine::Impl {
       std::uint64_t bloom_nanos, const ChunkPruning* pruning = nullptr,
       const exec::QueryContext* ctx = nullptr) {
     const bool stats = config.collect_stats;
-    const std::size_t total = config.chunked_scan && db.chunked != nullptr
-                                  ? db.chunked->rows()
-                                  : db.lineorder.n;
+    const bool chunked = config.chunked_scan && db.chunked != nullptr;
+    const std::size_t total = chunked ? db.chunked->rows() : db.lineorder.n;
     const auto block = static_cast<std::size_t>(config.block_size);
     const std::vector<std::uint8_t>* alive =
         pruning != nullptr && !pruning->alive.empty() ? &pruning->alive
@@ -639,7 +739,8 @@ struct SsbEngine::Impl {
     std::vector<std::uint64_t> cnt(plan.gid_domain, 0);
     std::uint64_t qualifying = 0;
 
-    const std::size_t n_ops = plan.filters.size() + plan.joins.size() + 1;
+    const std::size_t n_ops = plan.filters.size() + plan.joins.size() + 1 +
+                              (chunked ? PlanColumns(plan).size() : 0);
     std::vector<OpAcc> accs;
     telemetry::Histogram* block_hist = nullptr;
     if (stats) {
@@ -730,7 +831,7 @@ struct SsbEngine::Impl {
     QueryResult result;
     result.qualifying_rows = qualifying;
     result.morsels = morsels;
-    if (config.chunked_scan && db.chunked != nullptr) {
+    if (chunked) {
       result.chunks_total = db.chunked->num_chunks();
       result.chunks_scanned = pruning != nullptr
                                   ? pruning->chunks_scanned

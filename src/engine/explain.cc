@@ -12,11 +12,12 @@ namespace hef {
 namespace {
 
 // Operator kind, classified from the stats-row naming convention the
-// engines share ("build", "build.bloom", "filter.<col>", "probe.<col>",
-// "groupby").
+// engines share ("build", "build.bloom", "decode.<col>", "filter.<col>",
+// "probe.<col>", "groupby").
 const char* OperatorKind(const std::string& name) {
   if (name == "groupby") return "aggregate";
   if (name.rfind("build", 0) == 0) return "build";
+  if (name.rfind("decode.", 0) == 0) return "decode";
   if (name.rfind("filter.", 0) == 0) return "filter";
   if (name.rfind("probe.", 0) == 0) return "probe";
   return "op";
@@ -24,11 +25,13 @@ const char* OperatorKind(const std::string& name) {
 
 // The tuned hybrid point an operator's kernels run at, or nullptr when
 // the flavor does not use per-operator coordinates. Probes use the probe
-// point; filters and the group-by gather through the gather point.
+// point, chunk decodes the decode point; filters and the group-by gather
+// through the gather point.
 const HybridConfig* TunedPoint(const std::string& kind,
                                const ExplainMeta& meta) {
   if (!meta.tuned) return nullptr;
   if (kind == "probe") return &meta.probe_cfg;
+  if (kind == "decode") return &meta.decode_cfg;
   if (kind == "filter" || kind == "aggregate") return &meta.gather_cfg;
   return nullptr;
 }
@@ -67,6 +70,7 @@ ExplainMeta MakeExplainMeta(const std::string& query,
     meta.tuned = true;
     meta.probe_cfg = config.probe_cfg;
     meta.gather_cfg = config.gather_cfg;
+    meta.decode_cfg = config.decode_cfg;
   }
   return meta;
 }
@@ -182,6 +186,11 @@ std::string ExplainToJson(const ExplainMeta& meta,
     w.Key("v").Int(meta.gather_cfg.v);
     w.Key("s").Int(meta.gather_cfg.s);
     w.Key("p").Int(meta.gather_cfg.p);
+    w.EndObject();
+    w.Key("decode").BeginObject();
+    w.Key("v").Int(meta.decode_cfg.v);
+    w.Key("s").Int(meta.decode_cfg.s);
+    w.Key("p").Int(meta.decode_cfg.p);
     w.EndObject();
     w.EndObject();
   }

@@ -9,7 +9,10 @@
 // (`--explain_json`, the /tracez exemplar payload, CI schema checks).
 // The SSB star plans are linear pipelines, so the "tree" is a chain:
 // the sink (group-by) at the root, the build at the leaf, rendered
-// bottom-up the way the rows flow.
+// bottom-up the way the rows flow. A chunked scan adds one decode.<column>
+// row per fact column just above the build: rows in are block rows, rows
+// out the values actually materialised (zero for plain blocks read in
+// place, the surviving rows for late-materialised columns).
 
 #ifndef HEF_ENGINE_EXPLAIN_H_
 #define HEF_ENGINE_EXPLAIN_H_
@@ -32,6 +35,7 @@ struct ExplainMeta {
   bool tuned = false;
   HybridConfig probe_cfg{1, 0, 1};
   HybridConfig gather_cfg{1, 0, 1};
+  HybridConfig decode_cfg{1, 0, 1};
 };
 
 // Meta for an SsbEngine run: flavor and — for the hybrid flavor — the

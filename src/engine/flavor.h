@@ -97,8 +97,12 @@ struct EngineConfig {
   // bit-identical with pruning on or off.
   bool scan_pruning = false;
   // Coordinates of the chunk-decode kernels (bit-unpack, FoR-add,
-  // dictionary gather) when flavor == kHybrid.
-  HybridConfig decode_cfg{1, 1, 3};
+  // dictionary gather) when flavor == kHybrid. Defaults to the SIMD
+  // point: the unpack kernel is gather-bound, and a scalar statement
+  // beside it only slows it down — on an AVX-512 Xeon, 0.51 ns/value at
+  // v1 s0 p1 vs 0.75 at v1 s1 p3 for a full block, and fastest for the
+  // short selections late materialisation decodes (EXPERIMENTS.md).
+  HybridConfig decode_cfg{1, 0, 1};
 
   // The kernel coordinate this engine flavour runs at.
   HybridConfig ProbeConfig() const {

@@ -27,6 +27,12 @@ struct Avx512Backend {
   static constexpr int kLanes = 8;
   static constexpr Isa kIsa = Isa::kAvx512;
 
+  // The unmasked gather and shift intrinsics seed their result from
+  // _mm512_undefined_epi32(), which GCC 12 reports as -Wmaybe-uninitialized
+  // at every inlined use. The all-lanes masked forms below take a zero
+  // vector instead and lower to the same instructions.
+  static constexpr __mmask8 kAllLanes = 0xFF;
+
   static HEF_INLINE Reg LoadU(const std::uint64_t* p) {
     return _mm512_loadu_si512(p);
   }
@@ -38,7 +44,8 @@ struct Avx512Backend {
   }
 
   static HEF_INLINE Reg Gather(const std::uint64_t* base, Reg idx) {
-    return _mm512_i64gather_epi64(idx, base, 8);
+    return _mm512_mask_i64gather_epi64(_mm512_setzero_si512(), kAllLanes, idx,
+                                       base, 8);
   }
 
   static HEF_INLINE Reg Add(Reg a, Reg b) { return _mm512_add_epi64(a, b); }
@@ -50,18 +57,18 @@ struct Avx512Backend {
 
   template <int kShift>
   static HEF_INLINE Reg Srli(Reg a) {
-    return _mm512_srli_epi64(a, kShift);
+    return _mm512_maskz_srli_epi64(kAllLanes, a, kShift);
   }
   template <int kShift>
   static HEF_INLINE Reg Slli(Reg a) {
-    return _mm512_slli_epi64(a, kShift);
+    return _mm512_maskz_slli_epi64(kAllLanes, a, kShift);
   }
 
   static HEF_INLINE Reg SrlVar(Reg a, Reg counts) {
-    return _mm512_srlv_epi64(a, counts);
+    return _mm512_maskz_srlv_epi64(kAllLanes, a, counts);
   }
   static HEF_INLINE Reg SllVar(Reg a, Reg counts) {
-    return _mm512_sllv_epi64(a, counts);
+    return _mm512_maskz_sllv_epi64(kAllLanes, a, counts);
   }
 
   static HEF_INLINE Mask CmpEq(Reg a, Reg b) {

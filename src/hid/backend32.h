@@ -89,6 +89,9 @@ struct Avx512Backend32 {
 
   static constexpr int kLanes = 16;
   static constexpr Isa kIsa = Isa::kAvx512;
+  // All-lanes mask for the masked gather/shift forms, which (unlike the
+  // unmasked intrinsics) do not trip GCC 12's -Wmaybe-uninitialized.
+  static constexpr __mmask16 kAllLanes = 0xFFFF;
 
   static HEF_INLINE Reg LoadU(const std::uint32_t* p) {
     return _mm512_loadu_si512(p);
@@ -100,7 +103,8 @@ struct Avx512Backend32 {
     return _mm512_set1_epi32(static_cast<int>(x));
   }
   static HEF_INLINE Reg Gather(const std::uint32_t* base, Reg idx) {
-    return _mm512_i32gather_epi32(idx, base, 4);
+    return _mm512_mask_i32gather_epi32(_mm512_setzero_si512(), kAllLanes,
+                                       idx, base, 4);
   }
 
   static HEF_INLINE Reg Add(Reg a, Reg b) { return _mm512_add_epi32(a, b); }
@@ -114,11 +118,11 @@ struct Avx512Backend32 {
 
   template <int kShift>
   static HEF_INLINE Reg Srli(Reg a) {
-    return _mm512_srli_epi32(a, kShift);
+    return _mm512_maskz_srli_epi32(kAllLanes, a, kShift);
   }
   template <int kShift>
   static HEF_INLINE Reg Slli(Reg a) {
-    return _mm512_slli_epi32(a, kShift);
+    return _mm512_maskz_slli_epi32(kAllLanes, a, kShift);
   }
 
   static HEF_INLINE Mask CmpEq(Reg a, Reg b) {

@@ -49,8 +49,9 @@ std::string CityName(std::uint64_t city) {
          static_cast<char>('0' + city % 10);
 }
 
+// Buffers fit "MFGR#" plus a full-width 64-bit value (20 digits).
 std::string MfgrName(std::uint64_t mfgr) {
-  char buf[16];
+  char buf[32];
   std::snprintf(buf, sizeof(buf), "MFGR#%llu",
                 static_cast<unsigned long long>(mfgr));
   return buf;
@@ -62,7 +63,7 @@ std::string CategoryName(std::uint64_t category) {
 
 std::string BrandName(std::uint64_t brand) {
   // brand = m*1000 + c*100 + b with b in 1..40 -> "MFGR#mcbb".
-  char buf[16];
+  char buf[32];
   std::snprintf(buf, sizeof(buf), "MFGR#%llu%02llu",
                 static_cast<unsigned long long>(brand / 100),
                 static_cast<unsigned long long>(brand % 100));

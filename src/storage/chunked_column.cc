@@ -8,39 +8,43 @@
 namespace hef::storage {
 namespace {
 
-// Decodes rows [first, first + count) of one chunk.
+// Decodes the chunk-local rows first + idx[i], i in [0, n): bit-unpack
+// into the staging buffer, then FoR-add or dictionary gather into out.
+// `idx` is the iota stream for a contiguous range, or a sorted selection
+// for a gather decode; the unpack kernel is the same either way.
+void DecodePacked(const ColumnChunk& chunk, const HybridConfig& cfg,
+                  std::size_t first, const std::uint64_t* idx,
+                  std::size_t n, DecodeScratch& scratch,
+                  std::uint64_t* out) {
+  HEF_DCHECK(chunk.encoding != Encoding::kPlain);
+  if (chunk.width == 0) {  // single-value chunk: no payload to unpack
+    std::fill(out, out + n, chunk.encoding == Encoding::kDict
+                                ? chunk.dict[0]
+                                : chunk.reference);
+    return;
+  }
+  scratch.EnsureCapacity(n);
+  UnpackBitsArray(cfg, chunk.words.data(), chunk.width, first, idx,
+                  scratch.stage(), n);
+  if (chunk.encoding == Encoding::kFor) {
+    ForAddArray(cfg, chunk.reference, scratch.stage(), out, n);
+  } else {
+    DictGatherArray(cfg, chunk.dict.data(), scratch.stage(), out, n);
+  }
+}
+
+// Decodes rows [first, first + count) of one chunk into out.
 void DecodeChunkRange(const ColumnChunk& chunk, const HybridConfig& cfg,
                       std::size_t first, std::size_t count,
                       DecodeScratch& scratch, std::uint64_t* out) {
   HEF_DCHECK(first + count <= chunk.rows);
-  switch (chunk.encoding) {
-    case Encoding::kPlain:
-      std::memcpy(out, chunk.words.data() + first,
-                  count * sizeof(std::uint64_t));
-      return;
-    case Encoding::kFor:
-      if (chunk.width == 0) {
-        for (std::size_t i = 0; i < count; ++i) out[i] = chunk.reference;
-        return;
-      }
-      scratch.EnsureCapacity(count);
-      UnpackBitsArray(cfg, chunk.words.data(), chunk.width, first,
-                      scratch.iota(), scratch.stage(), count);
-      ForAddArray(cfg, chunk.reference, scratch.stage(), out, count);
-      return;
-    case Encoding::kDict:
-      if (chunk.width == 0) {
-        for (std::size_t i = 0; i < count; ++i) out[i] = chunk.dict[0];
-        return;
-      }
-      scratch.EnsureCapacity(count);
-      UnpackBitsArray(cfg, chunk.words.data(), chunk.width, first,
-                      scratch.iota(), scratch.stage(), count);
-      DictGatherArray(cfg, chunk.dict.data(), scratch.stage(), out, count);
-      return;
+  if (chunk.encoding == Encoding::kPlain) {
+    std::memcpy(out, chunk.words.data() + first,
+                count * sizeof(std::uint64_t));
+    return;
   }
-  HEF_CHECK_MSG(false, "unreachable encoding %d",
-                static_cast<int>(chunk.encoding));
+  scratch.EnsureCapacity(count);
+  DecodePacked(chunk, cfg, first, scratch.iota(), count, scratch, out);
 }
 
 }  // namespace
@@ -75,6 +79,44 @@ void ChunkedColumn::DecodeRange(const HybridConfig& cfg, std::size_t begin,
     count -= take;
     out += take;
   }
+}
+
+const std::uint64_t* ChunkedColumn::DecodeBlock(const HybridConfig& cfg,
+                                                std::size_t begin,
+                                                std::size_t count,
+                                                DecodeScratch& scratch,
+                                                std::uint64_t* out) const {
+  const std::size_t c = begin / chunk_rows_;
+  const std::size_t first = begin - c * chunk_rows_;
+  HEF_CHECK_MSG(c < chunks_.size() && first + count <= chunks_[c].rows,
+                "decode block [%zu, %zu) is not inside one chunk", begin,
+                begin + count);
+  const ColumnChunk& chunk = chunks_[c];
+  if (chunk.encoding == Encoding::kPlain) return chunk.words.data() + first;
+  DecodeChunkRange(chunk, cfg, first, count, scratch, out);
+  return out;
+}
+
+void ChunkedColumn::GatherDecode(const HybridConfig& cfg,
+                                 std::size_t block_begin,
+                                 const std::uint64_t* pos, std::size_t n,
+                                 DecodeScratch& scratch,
+                                 std::uint64_t* out) const {
+  const std::size_t c = block_begin / chunk_rows_;
+  const std::size_t first = block_begin - c * chunk_rows_;
+  HEF_CHECK_MSG(c < chunks_.size(), "gather decode at row %zu past column end",
+                block_begin);
+  const ColumnChunk& chunk = chunks_[c];
+  for (std::size_t i = 0; i < n; ++i) {
+    HEF_DCHECK(first + pos[i] < chunk.rows);
+  }
+  if (chunk.encoding == Encoding::kPlain) {
+    // The dictionary gather kernel is the plain row gather
+    // out[i] = base[pos[i]], here over the chunk's raw values.
+    DictGatherArray(cfg, chunk.words.data() + first, pos, out, n);
+    return;
+  }
+  DecodePacked(chunk, cfg, first, pos, n, scratch, out);
 }
 
 std::size_t ChunkedColumn::EncodedBytes() const {

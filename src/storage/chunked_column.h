@@ -35,6 +35,21 @@ class ChunkedColumn {
                    std::size_t count, DecodeScratch& scratch,
                    std::uint64_t* out) const;
 
+  // Rows [begin, begin + count), which must lie in one chunk (a pipeline
+  // block). A plain chunk hands out a pointer into its own payload with
+  // no copy; other encodings decode into `out` and return it.
+  const std::uint64_t* DecodeBlock(const HybridConfig& cfg, std::size_t begin,
+                                   std::size_t count, DecodeScratch& scratch,
+                                   std::uint64_t* out) const;
+
+  // Late materialisation: out[i] = row block_begin + pos[i], i in [0, n).
+  // Only the selected rows are decoded — FoR/dict run the unpack kernel
+  // with `pos` as its index stream, plain chunks gather directly. Every
+  // block_begin + pos[i] must lie in the chunk holding block_begin.
+  void GatherDecode(const HybridConfig& cfg, std::size_t block_begin,
+                    const std::uint64_t* pos, std::size_t n,
+                    DecodeScratch& scratch, std::uint64_t* out) const;
+
   // Payload bytes actually held (packed words + dictionaries + chunk
   // metadata) vs. the flat 8-bytes-per-row layout.
   std::size_t EncodedBytes() const;

@@ -10,8 +10,8 @@ namespace {
 
 // Map kernel: out[i] = (words[(in[i]*width + bit0) >> 6]
 //                       >> ((in[i]*width + bit0) & 63)) & mask.
-// The input stream is the iota indices; width/bit0/mask are broadcast
-// constants. Mirrors examples/templates/unpack_bits.hid.
+// The input stream is the iota indices (contiguous decode) or selected
+// positions (gather decode); width/bit0/mask are broadcast constants. Mirrors examples/templates/unpack_bits.hid.
 struct UnpackBitsKernel {
   const std::uint64_t* words = nullptr;
   std::uint64_t width = 0;

@@ -25,7 +25,8 @@
 
 namespace hef::storage {
 
-// Reusable per-thread buffers for DecodeRange: a 0,1,2,... index stream
+// Reusable per-thread buffers for ChunkedColumn's decode calls
+// (DecodeRange, DecodeBlock, GatherDecode): a 0,1,2,... index stream
 // feeding the unpack kernel and a staging buffer between the unpack and
 // dict-gather/FoR-add passes. Never shared across threads.
 class DecodeScratch {
@@ -43,11 +44,13 @@ class DecodeScratch {
   AlignedBuffer<std::uint64_t> stage_;
 };
 
-// out[i] = (words[((first + i) * width) >> 6] >> (((first + i) * width) & 63))
-//          & (2^width - 1), for i in [0, n).
-// `idx` must be the 0,1,2,... stream (DecodeScratch::iota); `first` is the
-// chunk-local index of the first value to unpack. width must be a nonzero
-// member of kPackedWidths.
+// out[i] = value (first + idx[i]) of the packed stream, i.e.
+//   (words[((first + idx[i]) * width) >> 6]
+//      >> (((first + idx[i]) * width) & 63)) & (2^width - 1), i in [0, n).
+// `idx` is any index stream that keeps first + idx[i] inside the chunk:
+// the 0,1,2,... stream (DecodeScratch::iota) for a contiguous decode, or
+// a selection of block-local positions for a gather decode. width must be
+// a nonzero member of kPackedWidths.
 void UnpackBitsArray(const HybridConfig& cfg, const std::uint64_t* words,
                      std::uint8_t width, std::size_t first,
                      const std::uint64_t* idx, std::uint64_t* out,

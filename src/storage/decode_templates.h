@@ -20,8 +20,10 @@ namespace hef::storage {
 
 // unpack_bits at a fixed pack width (a nonzero member of kPackedWidths):
 // gather + variable shift + mask over one chunk's packed words. Declares
-// `ptr words` with the extent the chunk geometry implies, range IN as the
-// 0..kDefaultChunkRows-1 iota stream, and range OUT 0..2^width-1.
+// `ptr words` with the extent the chunk geometry implies, range IN as
+// 0..kDefaultChunkRows-1 (any in-chunk index stream: the iota of a
+// contiguous decode or the selected positions of a gather decode), and
+// range OUT 0..2^width-1.
 std::string UnpackBitsTemplateText(std::uint8_t width);
 
 // for_add at a fixed frame-of-reference base: declares the unpacked-delta

@@ -1,10 +1,15 @@
 // Engine-level tests for the chunked scan path: bit-identical results
 // across flat / chunked / chunked+pruned execution for all 13 SSB
-// queries, the pruning bookkeeping surfaced through QueryResult and
-// EXPLAIN, and the configuration validation on the fallible Run path.
+// queries, a sweep of the late-materialising scan against the reference
+// engine across encodings, flavours, engine knobs and thread counts, the
+// decode.<column> stats rows, the pruning bookkeeping surfaced through
+// QueryResult and EXPLAIN, and the configuration validation on the
+// fallible Run path.
 
 #include <cstdint>
+#include <map>
 #include <string>
+#include <tuple>
 
 #include <gtest/gtest.h>
 
@@ -23,10 +28,12 @@ namespace {
 constexpr double kSf = 0.01;
 constexpr std::size_t kChunkRows = 8192;
 
-ssb::SsbDatabase MakeChunkedDb() {
+ssb::SsbDatabase MakeChunkedDb(
+    storage::EncodingPolicy policy = storage::EncodingPolicy::kAuto) {
   ssb::SsbDatabase db = ssb::SsbDatabase::Generate(kSf);
   ssb::ChunkedFactOptions options;
   options.chunk_rows = kChunkRows;
+  options.policy = policy;
   ssb::EnsureChunked(db, options);
   return db;
 }
@@ -70,6 +77,125 @@ TEST(ChunkedScanTest, ResultsMatchReferenceWithPruning) {
     EXPECT_TRUE(pruned.Run(id) == RunReferenceQuery(db, id))
         << QueryName(id);
   }
+}
+
+// Every path that fetches a column after the selection shrank decodes
+// only the surviving rows: later filters, join keys, the Bloom
+// pre-filter's re-fetch after compaction, and the measures. Each must
+// stay exact for every encoding, flavour, knob and thread count.
+class ChunkedScanSweepTest
+    : public ::testing::TestWithParam<
+          std::tuple<storage::EncodingPolicy, Flavor>> {};
+
+TEST_P(ChunkedScanSweepTest, AllQueriesMatchReference) {
+  const auto [policy, flavor] = GetParam();
+  const ssb::SsbDatabase db = MakeChunkedDb(policy);
+  std::map<QueryId, QueryResult> want;
+  for (const QueryId id : AllQueries()) {
+    want[id] = RunReferenceQuery(db, id);
+  }
+  for (int knobs = 0; knobs < 8; ++knobs) {
+    for (const int threads : {1, 4}) {
+      EngineConfig config = Config(flavor, true, false);
+      config.fused_filters = (knobs & 1) != 0;
+      config.bloom_prefilter = (knobs & 2) != 0;
+      config.vectorized_agg = (knobs & 4) != 0;
+      config.threads = threads;
+      SsbEngine engine(db, config);
+      for (const QueryId id : AllQueries()) {
+        const QueryResult got = engine.Run(id);
+        EXPECT_TRUE(got == want[id])
+            << QueryName(id) << " fused=" << config.fused_filters
+            << " bloom=" << config.bloom_prefilter
+            << " vagg=" << config.vectorized_agg << " threads=" << threads;
+        EXPECT_EQ(got.qualifying_rows, want[id].qualifying_rows)
+            << QueryName(id);
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PoliciesAndFlavors, ChunkedScanSweepTest,
+    ::testing::Combine(::testing::Values(storage::EncodingPolicy::kAuto,
+                                         storage::EncodingPolicy::kPlain,
+                                         storage::EncodingPolicy::kDict,
+                                         storage::EncodingPolicy::kFor),
+                       ::testing::Values(Flavor::kScalar, Flavor::kSimd,
+                                         Flavor::kHybrid)),
+    [](const ::testing::TestParamInfo<ChunkedScanSweepTest::ParamType>& info) {
+      return std::string(
+                 storage::EncodingPolicyName(std::get<0>(info.param))) +
+             "_" + FlavorName(std::get<1>(info.param));
+    });
+
+// Decode rows of one stats run, keyed by column ("decode.<column>").
+std::map<std::string, OperatorStats> DecodeRows(const QueryResult& result) {
+  std::map<std::string, OperatorStats> rows;
+  for (const OperatorStats& op : result.operator_stats) {
+    if (op.name.rfind("decode.", 0) == 0) rows[op.name.substr(7)] = op;
+  }
+  return rows;
+}
+
+// Decode has its own stats rows: one per plan column, block rows in,
+// values materialised out, carved out of the operator that touched the
+// column so the rows still add up to no more than the query's wall time.
+TEST(ChunkedScanTest, DecodeRowsAttributeMaterialisedValues) {
+  const ssb::SsbDatabase db = MakeChunkedDb();
+  EngineConfig config = Config(Flavor::kHybrid, true, false);
+  config.collect_stats = true;
+  SsbEngine engine(db, config);
+  const QueryResult result = engine.Run(QueryId::kQ2_1);
+  const std::map<std::string, OperatorStats> decode = DecodeRows(result);
+  // Q2.1 has no fact filters: three probes, then the revenue measure.
+  ASSERT_EQ(decode.size(), 4u);
+  ASSERT_EQ(decode.count("revenue"), 1u);
+  std::uint64_t sum_nanos = 0;
+  int probes = 0;
+  for (const OperatorStats& op : result.operator_stats) {
+    sum_nanos += op.wall_nanos;
+    if (op.name.rfind("probe.", 0) != 0) continue;
+    const OperatorStats& d = decode.at(op.name.substr(6));
+    EXPECT_EQ(d.rows_in, db.chunked->rows()) << op.name;
+    if (probes++ == 0) {
+      // The first probe's key decodes whole blocks...
+      EXPECT_EQ(d.rows_out, d.rows_in) << op.name;
+    } else {
+      // ...every later column only the rows that reached it.
+      EXPECT_EQ(d.rows_out, op.rows_in) << op.name;
+      EXPECT_LT(d.rows_out, d.rows_in) << op.name;
+    }
+  }
+  EXPECT_EQ(probes, 3);
+  EXPECT_EQ(decode.at("revenue").rows_out, result.qualifying_rows);
+  EXPECT_LE(sum_nanos, result.wall_nanos);
+
+  const ExplainMeta meta = MakeExplainMeta("Q2.1", "hybrid", config);
+  EXPECT_NE(ExplainToText(meta, result).find("decode.revenue"),
+            std::string::npos);
+  EXPECT_NE(ExplainToJson(meta, result).find("\"kind\":\"decode\""),
+            std::string::npos);
+
+  // Flat scans decode nothing and report no decode rows.
+  config.chunked_scan = false;
+  SsbEngine flat(db, config);
+  EXPECT_TRUE(DecodeRows(flat.Run(QueryId::kQ2_1)).empty());
+}
+
+TEST(ChunkedScanTest, PlainChunksHandOutFullBlocksWithoutCopy) {
+  const ssb::SsbDatabase db = MakeChunkedDb(storage::EncodingPolicy::kPlain);
+  EngineConfig config = Config(Flavor::kHybrid, true, false);
+  config.collect_stats = true;
+  SsbEngine engine(db, config);
+  const QueryResult result = engine.Run(QueryId::kQ2_1);
+  int in_place = 0;
+  for (const auto& [column, op] : DecodeRows(result)) {
+    EXPECT_EQ(op.rows_in, db.chunked->rows()) << column;
+    if (op.rows_out == 0) ++in_place;
+  }
+  // Only the first probe's key is read as whole blocks, in place.
+  EXPECT_EQ(in_place, 1);
 }
 
 TEST(ChunkedScanTest, EnvelopeCountsChunks) {

@@ -229,7 +229,7 @@ TEST(RngTest, UniformIsRoughlyUniform) {
 TEST(StopwatchTest, MeasuresElapsedTime) {
   Stopwatch sw;
   volatile std::uint64_t sink = 0;
-  for (int i = 0; i < 100000; ++i) sink += i;
+  for (int i = 0; i < 100000; ++i) sink = sink + i;
   EXPECT_GT(sw.ElapsedNanos(), 0u);
   EXPECT_GE(sw.ElapsedMillis(), 0.0);
 }

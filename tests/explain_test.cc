@@ -21,7 +21,8 @@ namespace {
 using telemetry::JsonValue;
 
 // A fabricated hybrid run with round numbers so both renderings are
-// byte-stable: a four-stage pipeline, cached plan, traced.
+// byte-stable: a four-stage pipeline over a chunked scan (one late
+// decode row), cached plan, traced.
 QueryResult SyntheticResult() {
   QueryResult result;
   result.rows.push_back(GroupRow{{1993, 0, 0}, 12345});
@@ -42,6 +43,7 @@ QueryResult SyntheticResult() {
   };
   // Execution order: build first, sink last (the renderer reverses).
   add("build", 2'000'000, 1, 100, 100);
+  add("decode.partkey", 300'000, 4, 4000, 500);
   add("filter.year", 500'000, 4, 1000, 500);
   add("probe.partkey", 1'000'000, 4, 500, 250);
   add("groupby", 250'000, 4, 250, 250);
@@ -56,6 +58,7 @@ ExplainMeta SyntheticMeta() {
   meta.tuned = true;
   meta.probe_cfg = HybridConfig{2, 1, 3};
   meta.gather_cfg = HybridConfig{1, 2, 4};
+  meta.decode_cfg = HybridConfig{2, 2, 1};
   return meta;
 }
 
@@ -69,7 +72,9 @@ TEST(ExplainTextTest, GoldenTree) {
       "  sel=50.00%  calls=4\n"
       "    `- filter.year (v1 s2 p4)  self=0.500ms  rows 1000 -> 500"
       "  sel=50.00%  calls=4\n"
-      "      `- build  self=2.000ms  rows 100 -> 100\n");
+      "      `- decode.partkey (v2 s2 p1)  self=0.300ms  rows 4000 -> 500"
+      "  sel=12.50%  calls=4\n"
+      "        `- build  self=2.000ms  rows 100 -> 100\n");
 }
 
 TEST(ExplainTextTest, UntunedAndStatlessRendering) {
@@ -110,20 +115,27 @@ TEST(ExplainJsonTest, GoldenDocumentParses) {
   ASSERT_NE(tuned->Find("probe"), nullptr);
   EXPECT_EQ(tuned->Find("probe")->NumberOr("v", 0), 2.0);
   EXPECT_EQ(tuned->Find("gather")->NumberOr("p", 0), 4.0);
+  EXPECT_EQ(tuned->Find("decode")->NumberOr("v", 0), 2.0);
 
   const JsonValue* ops = doc.Find("operators");
   ASSERT_NE(ops, nullptr);
-  ASSERT_EQ(ops->array().size(), 4u);
+  ASSERT_EQ(ops->array().size(), 5u);
   const JsonValue& build = ops->array()[0];
   EXPECT_EQ(build.StringOr("name", ""), "build");
   EXPECT_EQ(build.StringOr("kind", ""), "build");
   EXPECT_EQ(build.Find("tuned"), nullptr);  // builds are not tuned
-  const JsonValue& probe = ops->array()[2];
+  const JsonValue& decode = ops->array()[1];
+  EXPECT_EQ(decode.StringOr("name", ""), "decode.partkey");
+  EXPECT_EQ(decode.StringOr("kind", ""), "decode");
+  EXPECT_NEAR(decode.NumberOr("selectivity", 0), 0.125, 1e-9);
+  ASSERT_NE(decode.Find("tuned"), nullptr);
+  EXPECT_EQ(decode.Find("tuned")->NumberOr("s", -1), 2.0);  // decode point
+  const JsonValue& probe = ops->array()[3];
   EXPECT_EQ(probe.StringOr("kind", ""), "probe");
   EXPECT_NEAR(probe.NumberOr("selectivity", 0), 0.5, 1e-9);
   ASSERT_NE(probe.Find("tuned"), nullptr);
   EXPECT_EQ(probe.Find("tuned")->NumberOr("s", -1), 1.0);
-  const JsonValue& sink = ops->array()[3];
+  const JsonValue& sink = ops->array()[4];
   EXPECT_EQ(sink.StringOr("kind", ""), "aggregate");
   ASSERT_NE(sink.Find("tuned"), nullptr);
   EXPECT_EQ(sink.Find("tuned")->NumberOr("v", -1), 1.0);  // gather point

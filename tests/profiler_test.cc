@@ -137,7 +137,9 @@ TEST(PmuSamplerTest, CoexistsWithPerOperatorCounters) {
       while (!stop.load(std::memory_order_relaxed)) {
         perf.Start();
         volatile std::uint64_t sink = 0;
-        for (int i = 0; i < 50000; ++i) sink += static_cast<std::uint64_t>(i);
+        for (int i = 0; i < 50000; ++i) {
+          sink = sink + static_cast<std::uint64_t>(i);
+        }
         (void)perf.Stop();
         (void)perf.ReadNow();
       }

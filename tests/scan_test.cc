@@ -65,7 +65,9 @@ TEST(BitmapOpsTest, AndAndPositions) {
   ASSERT_EQ(extracted, count);
   for (std::size_t i = 0; i < extracted; ++i) {
     EXPECT_EQ(pos[i] % 6, 0u);
-    if (i > 0) EXPECT_LT(pos[i - 1], pos[i]);
+    if (i > 0) {
+      EXPECT_LT(pos[i - 1], pos[i]);
+    }
   }
 }
 

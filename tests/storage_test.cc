@@ -1,7 +1,8 @@
 // Unit tests for the chunked column storage layer: encoding round-trips,
 // zone-map / histogram pruning semantics (including the boundary and null
-// cases the engine's pruning pass relies on), and the decode kernels
-// across (v, s, p) coordinates.
+// cases the engine's pruning pass relies on), the decode kernels across
+// (v, s, p) coordinates, and the late-materialising GatherDecode checked
+// bit for bit against DecodeRange + gather.
 
 #include <algorithm>
 #include <cstdint>
@@ -308,6 +309,164 @@ TEST(ChunkedColumnTest, EncodedBytesBeatPlainOnCompressibleData) {
   const ChunkedColumn col = ChunkedColumn::Encode(
       values.data(), values.size(), 8192, EncodingPolicy::kAuto);
   EXPECT_LT(col.EncodedBytes(), col.PlainBytes() / 2);
+}
+
+// ---------------------------------------------------------------------------
+// GatherDecode / DecodeBlock (late materialisation)
+
+// One column per (encoding, packed width) the storage can produce: FoR at
+// every width in kPackedWidths, dict at every width its 4096-entry cap
+// allows, and plain. Three chunks of 8192 rows with a short last chunk.
+struct EncodedCase {
+  Encoding encoding;
+  std::uint8_t width;
+  std::vector<std::uint64_t> values;
+  ChunkedColumn col;
+};
+
+constexpr std::size_t kGatherChunkRows = 8192;
+constexpr std::size_t kGatherRows = 2 * kGatherChunkRows + 1500;
+constexpr std::size_t kGatherBlock = 4096;
+
+std::vector<EncodedCase> GatherCases() {
+  std::vector<EncodedCase> cases;
+  Rng rng(0x5eed);
+  auto add = [&](Encoding encoding, std::uint8_t width, EncodingPolicy policy,
+                 std::vector<std::uint64_t> values) {
+    ChunkedColumn col = ChunkedColumn::Encode(values.data(), values.size(),
+                                              kGatherChunkRows, policy);
+    cases.push_back({encoding, width, std::move(values), std::move(col)});
+  };
+  for (const std::uint8_t width : kPackedWidths) {
+    // FoR: deltas off a large base; every chunk spans its full width.
+    const std::uint64_t span = width == 0 ? 0 : (1ULL << width) - 1;
+    std::vector<std::uint64_t> values(kGatherRows);
+    for (std::size_t i = 0; i < kGatherRows; ++i) {
+      const std::uint64_t delta =
+          i % kGatherChunkRows == 0 ? span : rng.Next() & span;
+      values[i] = 19920101ULL + delta;
+    }
+    add(Encoding::kFor, width, EncodingPolicy::kFor, std::move(values));
+
+    // Dict: 2^width distinct values (capped at the dictionary limit),
+    // spread far apart so FoR would need the full 64 bits.
+    const std::size_t distinct =
+        std::min<std::size_t>(std::size_t{1} << width, kDictDistinctCap);
+    if (PackedWidthFor(distinct - 1) != width) continue;
+    std::vector<std::uint64_t> dvalues(kGatherRows);
+    for (std::size_t i = 0; i < kGatherRows; ++i) {
+      const std::uint64_t code =
+          i % kGatherChunkRows < distinct ? i % kGatherChunkRows
+                                          : rng.Next() % distinct;
+      dvalues[i] = code * 0x9E3779B97F4A7C15ULL;
+    }
+    add(Encoding::kDict, width, EncodingPolicy::kDict, std::move(dvalues));
+  }
+  std::vector<std::uint64_t> plain(kGatherRows);
+  for (auto& v : plain) v = rng.Next();
+  add(Encoding::kPlain, 64, EncodingPolicy::kPlain, std::move(plain));
+  return cases;
+}
+
+// The (v, s, p) points the three decode kernels share; GatherDecode runs
+// all of its kernels at one point.
+std::vector<HybridConfig> DecodeConfigsOfAllKernels() {
+  std::vector<HybridConfig> configs = UnpackBitsSupportedConfigs();
+  for (const auto* more :
+       {&ForAddSupportedConfigs(), &DictGatherSupportedConfigs()}) {
+    for (const HybridConfig& cfg : *more) {
+      if (std::find(configs.begin(), configs.end(), cfg) == configs.end()) {
+        configs.push_back(cfg);
+      }
+    }
+  }
+  return configs;
+}
+
+TEST(GatherDecodeTest, CasesCoverEveryEncodingAndWidth) {
+  const std::vector<EncodedCase> cases = GatherCases();
+  int for_widths = 0;
+  int dict_widths = 0;
+  for (const EncodedCase& c : cases) {
+    for (std::size_t k = 0; k < c.col.num_chunks(); ++k) {
+      ASSERT_EQ(c.col.chunk(k).encoding, c.encoding);
+      if (c.encoding != Encoding::kPlain) {
+        ASSERT_EQ(c.col.chunk(k).width, c.width)
+            << EncodingName(c.encoding) << " chunk " << k;
+      }
+    }
+    for_widths += c.encoding == Encoding::kFor;
+    dict_widths += c.encoding == Encoding::kDict;
+  }
+  EXPECT_EQ(for_widths, static_cast<int>(kPackedWidths.size()));
+  EXPECT_EQ(dict_widths, 6);  // 0..16: 32-bit codes exceed the dict cap
+  ASSERT_EQ(cases.front().col.num_chunks(), 3u);
+  EXPECT_EQ(cases.front().col.chunk(2).rows, 1500u);
+}
+
+TEST(GatherDecodeTest, MatchesDecodeRangeThenGather) {
+  const std::vector<EncodedCase> cases = GatherCases();
+  const std::vector<HybridConfig> configs = DecodeConfigsOfAllKernels();
+  ASSERT_FALSE(configs.empty());
+  // Blocks at a chunk start, at a non-zero offset inside a chunk, and the
+  // whole short last chunk.
+  const struct { std::size_t begin, rows; } blocks[] = {
+      {0, kGatherBlock},
+      {kGatherChunkRows + kGatherBlock, kGatherBlock},
+      {2 * kGatherChunkRows, 1500}};
+  Rng rng(42);
+  DecodeScratch scratch;
+  for (const auto& block : blocks) {
+    // Selections: empty, one row (the last), every row, and a sorted
+    // ~10% sample.
+    std::vector<std::vector<std::uint64_t>> selections(4);
+    selections[1].push_back(block.rows - 1);
+    for (std::size_t i = 0; i < block.rows; ++i) {
+      selections[2].push_back(i);
+      if (rng.Next() % 10 == 0) selections[3].push_back(i);
+    }
+    for (const EncodedCase& c : cases) {
+      for (const HybridConfig& cfg : configs) {
+        std::vector<std::uint64_t> full(block.rows);
+        scratch.EnsureCapacity(block.rows);
+        c.col.DecodeRange(cfg, block.begin, block.rows, scratch,
+                          full.data());
+        for (const auto& sel : selections) {
+          std::vector<std::uint64_t> got(sel.size() + 1, 0xdeadULL);
+          c.col.GatherDecode(cfg, block.begin, sel.data(), sel.size(),
+                             scratch, got.data());
+          for (std::size_t i = 0; i < sel.size(); ++i) {
+            ASSERT_EQ(got[i], full[sel[i]])
+                << EncodingName(c.encoding) << " width " << int(c.width)
+                << " " << cfg.ToString() << " block " << block.begin
+                << " pos " << sel[i];
+            ASSERT_EQ(got[i], c.values[block.begin + sel[i]]);
+          }
+          // Nothing written past the n-th value.
+          ASSERT_EQ(got[sel.size()], 0xdeadULL);
+        }
+      }
+    }
+  }
+}
+
+TEST(GatherDecodeTest, DecodeBlockHandsOutPlainPayloadWithoutCopy) {
+  for (const EncodedCase& c : GatherCases()) {
+    DecodeScratch scratch;
+    std::vector<std::uint64_t> out(kGatherBlock);
+    const std::size_t begin = kGatherChunkRows + kGatherBlock;
+    const std::uint64_t* got = c.col.DecodeBlock(
+        HybridConfig{1, 1, 3}, begin, kGatherBlock, scratch, out.data());
+    if (c.encoding == Encoding::kPlain) {
+      EXPECT_EQ(got, c.col.chunk(1).words.data() + kGatherBlock);
+    } else {
+      EXPECT_EQ(got, out.data());
+    }
+    for (std::size_t i = 0; i < kGatherBlock; ++i) {
+      ASSERT_EQ(got[i], c.values[begin + i])
+          << EncodingName(c.encoding) << " width " << int(c.width);
+    }
+  }
 }
 
 TEST(DecodeScratchTest, GrowsAndKeepsIota) {

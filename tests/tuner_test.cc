@@ -183,7 +183,9 @@ TEST(OptimizerTest, TraceReconstructsExpansionTree) {
         parent_found = true;
         EXPECT_TRUE(r.trace[j].winner) << step.parent.ToString();
         // A non-root winner beat the node it was expanded from.
-        if (step.winner) EXPECT_LT(step.seconds, r.trace[j].seconds);
+        if (step.winner) {
+          EXPECT_LT(step.seconds, r.trace[j].seconds);
+        }
         break;
       }
     }
