@@ -152,6 +152,7 @@ Result<Lane> ApplyOp(const TemplateStatement& st, const Lane& a,
   if (st.op == "hi_and_epi64") return ops.And(a, b);
   if (st.op == "hi_or_epi64") return ops.Or(a, b);
   if (st.op == "hi_xor_epi64") return ops.Xor(a, b);
+  if (st.op == "hi_min_epu64") return ops.MinU(a, b);
   if (st.op == "hi_srli_epi64" || st.op == "hi_srlv_epi64") {
     return ops.Shr(a, b);
   }
@@ -170,6 +171,7 @@ struct SymbolicOps {
   const Expr* And(const Expr* a, const Expr* b) { return arena.And(a, b); }
   const Expr* Or(const Expr* a, const Expr* b) { return arena.Or(a, b); }
   const Expr* Xor(const Expr* a, const Expr* b) { return arena.Xor(a, b); }
+  const Expr* MinU(const Expr* a, const Expr* b) { return arena.MinU(a, b); }
   const Expr* Shr(const Expr* a, const Expr* b) { return arena.Shr(a, b); }
   const Expr* Shl(const Expr* a, const Expr* b) { return arena.Shl(a, b); }
 };
@@ -183,6 +185,9 @@ struct ConcreteOps {
   std::uint64_t And(std::uint64_t a, std::uint64_t b) { return a & b; }
   std::uint64_t Or(std::uint64_t a, std::uint64_t b) { return a | b; }
   std::uint64_t Xor(std::uint64_t a, std::uint64_t b) { return a ^ b; }
+  std::uint64_t MinU(std::uint64_t a, std::uint64_t b) {
+    return a < b ? a : b;
+  }
   std::uint64_t Shr(std::uint64_t a, std::uint64_t b) {
     return b >= 64 ? 0 : a >> b;
   }

@@ -23,6 +23,8 @@ std::uint64_t FoldConst(ExprKind kind, std::uint64_t a, std::uint64_t b) {
       return a | b;
     case ExprKind::kXor:
       return a ^ b;
+    case ExprKind::kMinU:
+      return a < b ? a : b;
     default:
       return 0;
   }
@@ -38,6 +40,7 @@ std::uint64_t Identity(ExprKind kind) {
     case ExprKind::kMul:
       return 1;
     case ExprKind::kAnd:
+    case ExprKind::kMinU:
       return ~0ULL;
     default:
       return 0;
@@ -45,7 +48,8 @@ std::uint64_t Identity(ExprKind kind) {
 }
 
 bool Idempotent(ExprKind kind) {
-  return kind == ExprKind::kAnd || kind == ExprKind::kOr;
+  return kind == ExprKind::kAnd || kind == ExprKind::kOr ||
+         kind == ExprKind::kMinU;
 }
 
 // Absorbing constant, if the op has one (x op absorber == absorber).
@@ -53,6 +57,7 @@ bool Absorber(ExprKind kind, std::uint64_t* out) {
   switch (kind) {
     case ExprKind::kMul:
     case ExprKind::kAnd:
+    case ExprKind::kMinU:
       *out = 0;
       return true;
     case ExprKind::kOr:
@@ -101,7 +106,7 @@ const Expr* ExprArena::Gather(const std::string& ptr, const Expr* index) {
   return Intern(Key{ExprKind::kGather, 0, 0, ptr, {index}});
 }
 
-// Shared normalizer of the five AC ops: flatten nested same-kind nodes,
+// Shared normalizer of the six AC ops: flatten nested same-kind nodes,
 // fold every constant operand, drop identities, apply the absorber,
 // cancel xor pairs / dedupe idempotent operands, sort canonically.
 const Expr* ExprArena::AcOp(ExprKind kind, const Expr* a, const Expr* b) {
@@ -223,6 +228,9 @@ const Expr* ExprArena::Or(const Expr* a, const Expr* b) {
 const Expr* ExprArena::Xor(const Expr* a, const Expr* b) {
   return AcOp(ExprKind::kXor, a, b);
 }
+const Expr* ExprArena::MinU(const Expr* a, const Expr* b) {
+  return AcOp(ExprKind::kMinU, a, b);
+}
 
 const Expr* ExprArena::Sub(const Expr* a, const Expr* b) {
   // a - b == a + (2^64 - 1) * b under wrapping arithmetic; normalizing
@@ -276,6 +284,7 @@ std::string ExprToString(const Expr* e, int max_depth) {
     case ExprKind::kAnd: name = "and"; break;
     case ExprKind::kOr: name = "or"; break;
     case ExprKind::kXor: name = "xor"; break;
+    case ExprKind::kMinU: name = "minu"; break;
     case ExprKind::kShr: name = "shr"; break;
     case ExprKind::kShl: name = "shl"; break;
     default: break;

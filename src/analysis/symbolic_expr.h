@@ -46,6 +46,7 @@ enum class ExprKind {
   kAnd,     // n-ary, flattened + sorted
   kOr,      // n-ary, flattened + sorted
   kXor,     // n-ary, flattened + sorted
+  kMinU,    // n-ary unsigned minimum, flattened + sorted
   kShr,     // operands[0] >> operands[1]
   kShl,     // operands[0] << operands[1] (variable count only; constant
             // counts normalize to kMul)
@@ -84,6 +85,7 @@ class ExprArena {
   const Expr* And(const Expr* a, const Expr* b);
   const Expr* Or(const Expr* a, const Expr* b);
   const Expr* Xor(const Expr* a, const Expr* b);
+  const Expr* MinU(const Expr* a, const Expr* b);
   const Expr* Shr(const Expr* a, const Expr* amount);
   const Expr* Shl(const Expr* a, const Expr* amount);
 

@@ -101,6 +101,16 @@ ValueRange RangeXor(const ValueRange& a, const ValueRange& b) {
   return r.Refined();
 }
 
+ValueRange RangeMinU(const ValueRange& a, const ValueRange& b) {
+  // min(a, b) is bounded by either operand's upper bound, and is one of
+  // the two values, so it can only set bits one side may set.
+  ValueRange r;
+  r.lo = a.lo < b.lo ? a.lo : b.lo;
+  r.hi = a.hi < b.hi ? a.hi : b.hi;
+  r.bits = a.bits | b.bits;
+  return r.Refined();
+}
+
 ValueRange RangeShr(const ValueRange& a, const ValueRange& count) {
   ValueRange r;
   // Largest result: smallest shift; counts >= 64 zero the lane.
@@ -230,6 +240,8 @@ RangeAnalysis AnalyzeValueRanges(const OperatorTemplate& op,
       out = RangeOr(a, b);
     } else if (st.op == "hi_xor_epi64") {
       out = RangeXor(a, b);
+    } else if (st.op == "hi_min_epu64") {
+      out = RangeMinU(a, b);
     } else if (st.op == "hi_srli_epi64" || st.op == "hi_srlv_epi64") {
       out = RangeShr(a, b);
       if (!st.has_immediate && b.hi >= 64) {

@@ -60,6 +60,9 @@ ValueRange RangeMul(const ValueRange& a, const ValueRange& b, bool* wrap);
 ValueRange RangeAnd(const ValueRange& a, const ValueRange& b);
 ValueRange RangeOr(const ValueRange& a, const ValueRange& b);
 ValueRange RangeXor(const ValueRange& a, const ValueRange& b);
+// Unsigned minimum: the clamp that bounds an otherwise unbounded index
+// (key_filter clamps out-of-span keys onto a guard bit).
+ValueRange RangeMinU(const ValueRange& a, const ValueRange& b);
 // Shift counts come in as a range too (srlv/sllv); counts >= 64 follow
 // the intrinsics (result 0) — HID016 reports them separately.
 ValueRange RangeShr(const ValueRange& a, const ValueRange& count);

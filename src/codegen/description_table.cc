@@ -56,6 +56,12 @@ DescriptionTable DescriptionTable::Builtin() {
           {2, false, "{dst} = {a} ^ {b};",
            "{dst} = _mm256_xor_si256({a}, {b});",
            "{dst} = _mm512_xor_si512({a}, {b});"});
+  // Unsigned 64-bit minimum. AVX2 has no vpminuq; the table lowers to the
+  // helper emitted in the generated prelude (see translator).
+  t.AddOp("hi_min_epu64",
+          {2, false, "{dst} = {a} < {b} ? {a} : {b};",
+           "{dst} = hef_min_epu64_avx2({a}, {b});",
+           "{dst} = _mm512_min_epu64({a}, {b});"});
   t.AddOp("hi_srli_epi64",
           {1, true, "{dst} = {a} >> {imm};",
            "{dst} = _mm256_srli_epi64({a}, {imm});",

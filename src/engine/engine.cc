@@ -19,8 +19,8 @@
 #include "perf/perf_counters.h"
 #include "ssb/chunked_fact.h"
 #include "storage/decode.h"
-#include "table/bloom_filter.h"
 #include "table/group_agg.h"
+#include "table/key_filter.h"
 #include "table/probe.h"
 #include "telemetry/diagnostics.h"
 #include "telemetry/metrics.h"
@@ -61,7 +61,7 @@ struct SsbEngine::Impl {
   // One worker's pipeline scratch buffers (each thread owns a set).
   struct Buffers {
     AlignedBuffer<std::uint64_t> rows, keys, vals_a, vals_b, pos, scratch,
-        bloom_out, bitmap_a, bitmap_b;
+        filter_out, bitmap_a, bitmap_b;
     std::array<AlignedBuffer<std::uint64_t>, 4> payloads;
     // Chunked scan: one decoded-block buffer per distinct plan column
     // (at most 4 joins + 2 values, or 3 filters + 2 values) plus the
@@ -77,7 +77,7 @@ struct SsbEngine::Impl {
       vals_b.Allocate(block, 64);
       pos.Allocate(block, 64);
       scratch.Allocate(block, 64);
-      bloom_out.Allocate(block, 64);
+      filter_out.Allocate(block, 64);
       bitmap_a.Allocate(BitmapWords(block), 8);
       bitmap_b.Allocate(BitmapWords(block), 8);
       for (auto& p : payloads) p.Allocate(block, 64);
@@ -114,12 +114,10 @@ struct SsbEngine::Impl {
     }
   };
 
-  // One fully-built query: the bound plan plus its Bloom filters (which
-  // share the plan's lifetime so cache hits skip BuildBlooms too).
+  // One fully-built query: the bound plan (dimension hash tables and key
+  // filters) plus its chunk-pruning verdicts.
   struct PlanEntry {
     BoundPlan bound;
-    std::vector<std::unique_ptr<BloomFilter>> blooms;
-    std::uint64_t bloom_nanos = 0;
     // Chunk-pruning verdicts (empty unless chunked_scan && scan_pruning).
     // Shares the plan's lifetime: chunk statistics and predicate ranges
     // are both fixed per query, so cache hits skip the pass too.
@@ -149,9 +147,9 @@ struct SsbEngine::Impl {
     }
   }
 
-  // Builds one query's plan + blooms. With multiple workers configured,
-  // the dimension hash tables build through the partitioned InsertBatch
-  // path on the persistent pool; layout and plan are identical either way.
+  // Builds one query's plan. With multiple workers configured, the
+  // dimension hash tables build through the partitioned InsertBatch path
+  // on the persistent pool; layout and plan are identical either way.
   PlanEntry BuildEntry(QueryId id) {
     PlanEntry entry;
     {
@@ -171,12 +169,6 @@ struct SsbEngine::Impl {
         };
       }
       entry.bound = BuildQueryPlan(db, id, options);
-    }
-    {
-      HEF_TRACE_SPAN("engine.bloom_build");
-      const std::uint64_t t0 = MonotonicNanos();
-      entry.blooms = BuildBlooms(entry.bound.plan);
-      if (!entry.blooms.empty()) entry.bloom_nanos = MonotonicNanos() - t0;
     }
     if (config.chunked_scan && config.scan_pruning &&
         db.chunked != nullptr) {
@@ -203,35 +195,17 @@ struct SsbEngine::Impl {
     }
   }
 
-  // Builds one Bloom filter per join stage from the dimension tables'
-  // key slabs (only when bloom_prefilter is enabled).
-  std::vector<std::unique_ptr<BloomFilter>> BuildBlooms(
-      const StarPlan& plan) const {
-    std::vector<std::unique_ptr<BloomFilter>> blooms;
-    if (!config.bloom_prefilter) return blooms;
-    for (const JoinStage& j : plan.joins) {
-      auto bloom = std::make_unique<BloomFilter>(j.table->size());
-      for (std::size_t slot = 0; slot < j.table->capacity(); ++slot) {
-        const std::uint64_t key = j.table->keys()[slot];
-        if (key != kEmptyKey) bloom->Insert(key);
-      }
-      blooms.push_back(std::move(bloom));
-    }
-    return blooms;
-  }
-
   // Runs the pipeline over fact rows [row_begin, row_end), accumulating
   // into the caller's agg/cnt arrays (sized plan.gid_domain).
   //
   // When `accs` is non-null, per-operator wall time / row counts are
   // accumulated into it (layout: filters, then probes, then group-by,
-  // then — on the chunked scan — one decode row per PlanColumns entry); a
-  // non-null `pmu` additionally brackets every operator with group reads
-  // so counter deltas attribute to operators. Both null on the default
-  // path, which then pays nothing beyond a branch per operator per block.
-  void ExecuteRange(const StarPlan& plan,
-                    const std::vector<std::unique_ptr<BloomFilter>>& blooms,
-                    Buffers& buf, std::size_t row_begin,
+  // then one key-filter row per join, then — on the chunked scan — one
+  // decode row per PlanColumns entry); a non-null `pmu` additionally
+  // brackets every operator with group reads so counter deltas attribute
+  // to operators. Both null on the default path, which then pays nothing
+  // beyond a branch per operator per block.
+  void ExecuteRange(const StarPlan& plan, Buffers& buf, std::size_t row_begin,
                     std::size_t row_end, std::vector<std::uint64_t>& agg,
                     std::vector<std::uint64_t>& cnt,
                     std::uint64_t* qualifying_out,
@@ -287,7 +261,7 @@ struct SsbEngine::Impl {
     auto& vals_b = buf.vals_b;
     auto& pos = buf.pos;
     auto& scratch = buf.scratch;
-    auto& bloom_out = buf.bloom_out;
+    auto& filter_out = buf.filter_out;
     auto& bitmap_a = buf.bitmap_a;
     auto& bitmap_b = buf.bitmap_b;
     auto& payloads = buf.payloads;
@@ -299,9 +273,10 @@ struct SsbEngine::Impl {
     // monotonic clock, and with a PMU attached also snapshot the counter
     // group, so deltas land on the operator that spent them.
     //
-    // Decode runs inside the window of the operator that touches a column;
-    // its cost is carved out of that window (`carved`) and booked on the
-    // column's own decode.<column> row instead.
+    // Decode runs inside the window of the operator that touches a column,
+    // and a join's key filter inside its probe window; their cost is
+    // carved out of that window (`carved`) and booked on their own
+    // decode.<column> / keyfilter.<column> rows instead.
     const bool stats = accs != nullptr;
     std::uint64_t op_t0 = 0;
     PerfReading op_p0;
@@ -343,28 +318,29 @@ struct SsbEngine::Impl {
     };
     const std::size_t probe_acc_base = plan.filters.size();
     const std::size_t groupby_acc = probe_acc_base + plan.joins.size();
-    const std::size_t decode_acc_base = groupby_acc + 1;
+    const std::size_t keyfilter_acc_base = groupby_acc + 1;
+    const std::size_t decode_acc_base =
+        keyfilter_acc_base + plan.joins.size();
 
-    // Runs `decode` (which returns the number of values it materialised)
-    // for plan column `di` over a block of `block_rows` rows, booking it
-    // on the column's decode row and carving it out of the enclosing
-    // operator window.
-    auto timed_decode = [&](std::size_t di, std::size_t block_rows,
-                            auto&& decode) {
+    // Runs `work` (which returns its output row count) as a sub-window of
+    // the current operator: books it on accumulator `idx` with `in_rows`
+    // rows in, and carves it out of the enclosing operator window.
+    auto carved_call = [&](std::size_t idx, std::uint64_t in_rows,
+                           auto&& work) {
       if (!stats) {
-        decode();
+        work();
         return;
       }
       PerfReading p0;
       if (pmu != nullptr) p0 = pmu->ReadNow();
       const std::uint64_t t0 = MonotonicNanos();
-      const std::uint64_t values = decode();
+      const std::uint64_t out_rows = work();
       const std::uint64_t dt = MonotonicNanos() - t0;
-      OpAcc& a = (*accs)[decode_acc_base + di];
+      OpAcc& a = (*accs)[idx];
       a.nanos += dt;
       ++a.calls;
-      a.rows_in += block_rows;
-      a.rows_out += values;
+      a.rows_in += in_rows;
+      a.rows_out += out_rows;
       carved.nanos += dt;
       if (pmu != nullptr) {
         const PerfReading p1 = pmu->ReadNow();
@@ -433,7 +409,8 @@ struct SsbEngine::Impl {
         const std::size_t di = dcol_index(col);
         DecodedCol& d = dcols[di];
         if (d.base == nullptr) {
-          timed_decode(di, bn, [&]() -> std::uint64_t {
+          // Decode rows: block rows in, values materialised out.
+          carved_call(decode_acc_base + di, bn, [&]() -> std::uint64_t {
             d.base = d.col->DecodeBlock(decode_cfg, b0, bn,
                                         buf.decode_scratch, d.data);
             return d.base == d.data ? bn : 0;
@@ -473,7 +450,7 @@ struct SsbEngine::Impl {
           const std::size_t di = dcol_index(col);
           const DecodedCol& d = dcols[di];
           if (d.base == nullptr) {
-            timed_decode(di, bn, [&]() -> std::uint64_t {
+            carved_call(decode_acc_base + di, bn, [&]() -> std::uint64_t {
               d.col->GatherDecode(decode_cfg, b0, rows.data(), n,
                                   buf.decode_scratch, out.data());
               return n;
@@ -529,29 +506,35 @@ struct SsbEngine::Impl {
         }
       }
 
-      // Join probes. The Bloom pre-filter is part of its join's operator
-      // window — the stats row reports the stage's end-to-end cost.
+      // Join stages: key filter (when the plan built one), then hash
+      // probe, in one operator window whose key-filter part is carved out
+      // onto its own keyfilter.<column> row.
       for (std::size_t ji = 0; ji < plan.joins.size(); ++ji) {
         const JoinStage& j = plan.joins[ji];
         if (n == 0) break;
         op_begin();
-        const std::size_t in_rows = n;
         const std::uint64_t* k = fetch(*j.fact_key, keys);
-        if (!blooms.empty()) {
-          // Bloom pre-filter: discard definite misses before the (more
-          // expensive, cache-hungry) hash-table probe.
-          BloomProbeArray(probe_cfg, *blooms[ji], k, bloom_out.data(), n);
-          const std::size_t bm = CompactInRange(flavor, bloom_out.data(),
-                                                n, 1, 1, pos.data());
-          if (bm != n) {
-            apply_selection(bm);
-            if (n == 0) {
-              op_end(probe_acc_base + ji, in_rows, 0);
-              break;
+        if (j.key_filter != nullptr) {
+          // Exact semi-join: drop the keys the dimension cannot contain,
+          // compacting the selection and the already-fetched key vector
+          // (no re-fetch, which would decode again), so the hash probe
+          // sees only keys that hit.
+          carved_call(keyfilter_acc_base + ji, n, [&]() -> std::uint64_t {
+            KeyFilterArray(probe_cfg, *j.key_filter, k, filter_out.data(),
+                           n);
+            const std::size_t fm = CompactInRange(
+                flavor, filter_out.data(), n, 1, 1, pos.data());
+            if (fm != n) {
+              GatherArray(gather_cfg, k, pos.data(), filter_out.data(), fm);
+              k = filter_out.data();
+              apply_selection(fm);
             }
-            k = fetch(*j.fact_key, keys);
-          }
+            return fm;
+          });
         }
+        // The probe row counts the keys hash-probed, so its ns/row stays
+        // comparable with the tuner's per-key prediction.
+        const std::size_t probe_in = n;
         const int slot = j.payload_slot;
         HEF_DCHECK(slot >= 0 && slot < 4);
         ProbeArray(probe_cfg, *j.table, k, payloads[slot].data(), n);
@@ -561,7 +544,7 @@ struct SsbEngine::Impl {
         if (m != n) {
           apply_selection(m);
         }
-        op_end(probe_acc_base + ji, in_rows, n);
+        op_end(probe_acc_base + ji, probe_in, n);
       }
       if (stats && block_rows_hist != nullptr) block_rows_hist->Observe(n);
       if (n == 0) continue;
@@ -635,8 +618,7 @@ struct SsbEngine::Impl {
   // the process-wide metrics registry (query counters, per-join
   // selectivity gauges, hash-table displacement histogram).
   void FillOperatorStats(const StarPlan& plan,
-                         const std::vector<OpAcc>& accs,
-                         std::uint64_t bloom_nanos, std::uint64_t total,
+                         const std::vector<OpAcc>& accs, std::uint64_t total,
                          std::uint64_t qualifying,
                          const ChunkPruning* pruning,
                          QueryResult* result) const {
@@ -659,17 +641,13 @@ struct SsbEngine::Impl {
 
     auto& ops = result->operator_stats;
     ops.reserve(accs.size() + 1);
-    if (bloom_nanos > 0) {
-      OperatorStats s;
-      s.name = "build.bloom";
-      s.wall_nanos = bloom_nanos;
-      s.invocations = 1;
-      ops.push_back(std::move(s));
-    }
     // Chunked scan: decode rows sit at the leaf of the pipeline, one per
-    // plan column (accumulators after the group-by's; see ExecuteRange).
-    const std::size_t decode_acc_base =
+    // plan column (accumulators after the group-by's and the key
+    // filters'; see ExecuteRange).
+    const std::size_t keyfilter_acc_base =
         plan.filters.size() + plan.joins.size() + 1;
+    const std::size_t decode_acc_base =
+        keyfilter_acc_base + plan.joins.size();
     if (accs.size() > decode_acc_base) {
       const std::vector<const ssb::Column*> cols = PlanColumns(plan);
       for (std::size_t i = 0; i < cols.size(); ++i) {
@@ -693,9 +671,15 @@ struct SsbEngine::Impl {
       ++idx;
     }
     auto& registry = telemetry::MetricsRegistry::Get();
-    for (const JoinStage& j : plan.joins) {
-      const std::string name =
-          std::string("probe.") + FactColumnName(lo, j.fact_key);
+    for (std::size_t ji = 0; ji < plan.joins.size(); ++ji) {
+      const JoinStage& j = plan.joins[ji];
+      const char* column = FactColumnName(lo, j.fact_key);
+      // A join's key filter runs just before its hash probe.
+      if (j.key_filter != nullptr) {
+        ops.push_back(to_stats(std::string("keyfilter.") + column,
+                               accs[keyfilter_acc_base + ji]));
+      }
+      const std::string name = std::string("probe.") + column;
       ops.push_back(to_stats(name, accs[idx]));
       attach_chunks(ops.back(), idx);
       registry.gauge("engine.selectivity." + name)
@@ -722,11 +706,9 @@ struct SsbEngine::Impl {
     }
   }
 
-  QueryResult ExecutePlan(
-      const StarPlan& plan,
-      const std::vector<std::unique_ptr<BloomFilter>>& blooms,
-      std::uint64_t bloom_nanos, const ChunkPruning* pruning = nullptr,
-      const exec::QueryContext* ctx = nullptr) {
+  QueryResult ExecutePlan(const StarPlan& plan,
+                          const ChunkPruning* pruning = nullptr,
+                          const exec::QueryContext* ctx = nullptr) {
     const bool stats = config.collect_stats;
     const bool chunked = config.chunked_scan && db.chunked != nullptr;
     const std::size_t total = chunked ? db.chunked->rows() : db.lineorder.n;
@@ -739,8 +721,10 @@ struct SsbEngine::Impl {
     std::vector<std::uint64_t> cnt(plan.gid_domain, 0);
     std::uint64_t qualifying = 0;
 
-    const std::size_t n_ops = plan.filters.size() + plan.joins.size() + 1 +
-                              (chunked ? PlanColumns(plan).size() : 0);
+    // Layout: filters, probes, group-by, key filters, decodes (see
+    // ExecuteRange).
+    const std::size_t n_ops = plan.filters.size() + 2 * plan.joins.size() +
+                              1 + (chunked ? PlanColumns(plan).size() : 0);
     std::vector<OpAcc> accs;
     telemetry::Histogram* block_hist = nullptr;
     if (stats) {
@@ -767,9 +751,9 @@ struct SsbEngine::Impl {
           pmu.reset();
         }
       }
-      ExecuteRange(plan, blooms, main_buffers, 0, total, agg, cnt,
-                   &qualifying, stats ? &accs : nullptr, pmu.get(),
-                   block_hist, ctx, alive);
+      ExecuteRange(plan, main_buffers, 0, total, agg, cnt, &qualifying,
+                   stats ? &accs : nullptr, pmu.get(), block_hist, ctx,
+                   alive);
     } else {
       // Morsel parallelism over the persistent pool: workers claim
       // block-aligned morsels dynamically from the scheduler (stealing
@@ -804,7 +788,7 @@ struct SsbEngine::Impl {
             std::size_t blk_end = 0;
             while (sched.Next(t, &blk_begin, &blk_end)) {
               std::uint64_t q = 0;
-              ExecuteRange(plan, blooms, buffers, blk_begin * block,
+              ExecuteRange(plan, buffers, blk_begin * block,
                            std::min(total, blk_end * block), worker_agg[t],
                            worker_cnt[t], &q,
                            stats ? &worker_accs[t] : nullptr, pmu.get(),
@@ -844,8 +828,7 @@ struct SsbEngine::Impl {
           .Increment(result.chunks_pruned);
     }
     if (stats) {
-      FillOperatorStats(plan, accs, bloom_nanos, total, qualifying,
-                        pruning, &result);
+      FillOperatorStats(plan, accs, total, qualifying, pruning, &result);
     }
     for (std::size_t g = 0; g < plan.gid_domain; ++g) {
       if (cnt[g] == 0) continue;
@@ -900,7 +883,7 @@ struct SsbEngine::Impl {
     }
 
     // Resolve the plan: a cache hit reuses the dimension hash tables and
-    // Bloom filters built by an earlier Run; the "build" stats row then
+    // key filters built by an earlier Run; the "build" stats row then
     // reports the (tiny) lookup cost, which is the build work this Run
     // actually did. With the cache off, every Run builds fresh. A failed
     // build inserts nothing — the cache never holds a half-built plan.
@@ -935,13 +918,9 @@ struct SsbEngine::Impl {
       }
     }
 
-    // On a cache hit no Bloom filters were built this Run, so suppress
-    // the build.bloom stats row (its nanos belong to the Run that
-    // missed).
     QueryResult result;
     try {
-      result = ExecutePlan(entry->bound.plan, entry->blooms,
-                           cache_hit ? 0 : entry->bloom_nanos,
+      result = ExecutePlan(entry->bound.plan,
                            entry->pruning.alive.empty() ? nullptr
                                                         : &entry->pruning,
                            &ctx);

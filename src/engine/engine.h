@@ -36,7 +36,7 @@ class SsbEngine {
   // Executes one SSB query end to end (dimension hash-table build + fact
   // pipeline) and returns its result rows sorted by group keys. With
   // config.plan_cache (the default) the build phase — filtered dimension
-  // hash tables plus Bloom filters — runs once per QueryId and is reused
+  // hash tables plus their key filters — runs once per QueryId and is reused
   // by every later Run of the same query.
   //
   // This form aborts on any failure (tests and paper-exhibit benches use

@@ -12,25 +12,26 @@ namespace hef {
 namespace {
 
 // Operator kind, classified from the stats-row naming convention the
-// engines share ("build", "build.bloom", "decode.<col>", "filter.<col>",
-// "probe.<col>", "groupby").
+// engines share ("build", "decode.<col>", "filter.<col>",
+// "keyfilter.<col>", "probe.<col>", "groupby").
 const char* OperatorKind(const std::string& name) {
   if (name == "groupby") return "aggregate";
   if (name.rfind("build", 0) == 0) return "build";
   if (name.rfind("decode.", 0) == 0) return "decode";
   if (name.rfind("filter.", 0) == 0) return "filter";
+  if (name.rfind("keyfilter.", 0) == 0) return "keyfilter";
   if (name.rfind("probe.", 0) == 0) return "probe";
   return "op";
 }
 
 // The tuned hybrid point an operator's kernels run at, or nullptr when
-// the flavor does not use per-operator coordinates. Probes use the probe
-// point, chunk decodes the decode point; filters and the group-by gather
-// through the gather point.
+// the flavor does not use per-operator coordinates. Probes and their key
+// filters use the probe point, chunk decodes the decode point; filters
+// and the group-by gather through the gather point.
 const HybridConfig* TunedPoint(const std::string& kind,
                                const ExplainMeta& meta) {
   if (!meta.tuned) return nullptr;
-  if (kind == "probe") return &meta.probe_cfg;
+  if (kind == "probe" || kind == "keyfilter") return &meta.probe_cfg;
   if (kind == "decode") return &meta.decode_cfg;
   if (kind == "filter" || kind == "aggregate") return &meta.gather_cfg;
   return nullptr;

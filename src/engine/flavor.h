@@ -49,11 +49,6 @@ struct EngineConfig {
   HybridConfig gather_cfg{1, 1, 3};
   // Rows per pipeline block (the vectorized engine's vector size).
   int block_size = 4096;
-  // Build a Bloom filter per dimension table and pre-filter probe keys
-  // before each hash join (the star-join optimization of the SIMD Bloom
-  // filter literature the paper cites). Results are unchanged — Bloom
-  // misses are definite misses, false positives fall out of the join.
-  bool bloom_prefilter = false;
   // Evaluate multi-predicate WHERE clauses as bitmap scans + conjunction
   // (Zhou & Ross selection scans) instead of compacting after every
   // predicate. Pays when individual predicates are unselective but their
@@ -80,7 +75,7 @@ struct EngineConfig {
   // The paper measures per-core behaviour, so the paper-exhibit
   // benchmarks pin this to 1.
   int threads = 0;
-  // Reuse built plans (filtered dimension hash tables + Bloom filters)
+  // Reuse built plans (filtered dimension hash tables + key filters)
   // across repeated Run() calls on the same engine, keyed by QueryId.
   // Serving workloads want this on; paper-exhibit benchmarks that report
   // end-to-end per-query time (build included) turn it off.

@@ -16,8 +16,9 @@ namespace hef {
 
 // Per-operator execution statistics, collected when
 // EngineConfig::collect_stats is set. One entry per pipeline stage in
-// execution order: the dimension build, each range filter, each join
-// probe (bloom pre-filter included), and the group-by accumulate.
+// execution order: the dimension build, each column decode (chunked
+// scans), each range filter, each join's key filter (when the plan built
+// one) and hash probe, and the group-by accumulate.
 struct OperatorStats {
   std::string name;               // e.g. "filter.discount", "probe.partkey"
   std::uint64_t wall_nanos = 0;   // summed across blocks and workers

@@ -448,6 +448,10 @@ const char* FactColumnName(const ssb::LineorderFact& lo,
   return "column";
 }
 
+bool WantKeyFilter(double selectivity, std::uint64_t span) {
+  return selectivity < kKeyFilterMaxSelectivity && span <= kKeyFilterMaxSpan;
+}
+
 BoundPlan BuildQueryPlan(const SsbDatabase& db, QueryId id) {
   return BuildQueryPlan(db, id, PlanBuildOptions{});
 }
@@ -473,10 +477,10 @@ BoundPlan BuildQueryPlan(const SsbDatabase& db, QueryId id,
                    [](const JoinStage& a, const JoinStage& b) {
                      return a.selectivity < b.selectivity;
                    });
-  // Key ranges for zone-map join pruning: scan each table's key slab
-  // once. Dimension filters are usually range-shaped in key space (a
-  // week of datekeys, a brand interval), so [key_lo, key_hi] is a tight
-  // necessary condition on matching fact chunks.
+  // Key ranges for zone-map join pruning and the key filters: scan each
+  // table's key slab. Dimension filters are usually range-shaped in key
+  // space (a week of datekeys, a brand interval), so [key_lo, key_hi] is
+  // a tight necessary condition on matching fact chunks.
   for (JoinStage& join : bound.plan.joins) {
     for (std::size_t slot = 0; slot < join.table->capacity(); ++slot) {
       const std::uint64_t key = join.table->keys()[slot];
@@ -484,6 +488,19 @@ BoundPlan BuildQueryPlan(const SsbDatabase& db, QueryId id,
       join.key_lo = std::min(join.key_lo, key);
       join.key_hi = std::max(join.key_hi, key);
     }
+    // A second pass over the slab fills the join's exact key bitmap. An
+    // empty table (key_lo > key_hi) gets an empty filter that rejects
+    // every key.
+    const std::uint64_t span =
+        join.key_hi >= join.key_lo ? join.key_hi - join.key_lo + 1 : 0;
+    if (!WantKeyFilter(join.selectivity, span)) continue;
+    auto filter = std::make_unique<KeyFilter>(join.key_lo, join.key_hi);
+    for (std::size_t slot = 0; slot < join.table->capacity(); ++slot) {
+      const std::uint64_t key = join.table->keys()[slot];
+      if (key != kEmptyKey) filter->Insert(key);
+    }
+    join.key_filter = filter.get();
+    bound.key_filters.push_back(std::move(filter));
   }
   return bound;
 }

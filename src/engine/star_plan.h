@@ -14,6 +14,7 @@
 
 #include "engine/query_id.h"
 #include "ssb/database.h"
+#include "table/key_filter.h"
 #include "table/linear_hash_table.h"
 
 namespace hef {
@@ -48,7 +49,31 @@ struct JoinStage {
   // table keeps the initial key_lo > key_hi state (prunes everything).
   std::uint64_t key_lo = ~0ULL;
   std::uint64_t key_hi = 0;
+  // Exact membership bitmap of `table`'s keys over [key_lo, key_hi], or
+  // null when the join is not selective enough or its span too wide (see
+  // WantKeyFilter). The pipeline tests fact keys against it and
+  // hash-probes only the keys it passes. Owned by the BoundPlan.
+  const KeyFilter* key_filter = nullptr;
 };
+
+// Planner limits of the key filter (values measured in EXPERIMENTS.md
+// §8c; see WantKeyFilter).
+//
+// Selectivity: the filter costs ~1-2 ns per key (test + compaction) and
+// saves one hash probe per rejected key (~10 ns on a miss), so it pays
+// once ~20% of the keys are rejected. Every SSB stage below 0.5 gained;
+// the only stages above it, the 6/7-hit date joins of Q3.1-Q3.3, gained
+// nothing from a filter.
+inline constexpr double kKeyFilterMaxSelectivity = 0.5;
+// Span: 2^22 keys is a 512 KiB bitmap, where the test still measured
+// well under the cost of a hash-probe miss. SSB spans stay far below it
+// (the widest, part at SF 1, is 200k keys = 25 KiB); beyond it the
+// bitmap outgrows the caches and a plain hash probe is the safer default.
+inline constexpr std::uint64_t kKeyFilterMaxSpan = 1ULL << 22;
+
+// Whether BuildQueryPlan attaches a key filter to a join of estimated
+// `selectivity` whose key range [key_lo, key_hi] covers `span` keys.
+bool WantKeyFilter(double selectivity, std::uint64_t span);
 
 // A fully-bound star query plan. `gid` maps the join payloads of one
 // surviving row to a dense group id; `decode` maps a group id back to the
@@ -65,9 +90,11 @@ struct StarPlan {
   std::function<std::array<std::uint64_t, 3>(std::uint64_t)> decode;
 };
 
-// A StarPlan plus ownership of its dimension hash tables.
+// A StarPlan plus ownership of its dimension hash tables and key
+// filters (so a cached plan reuses both).
 struct BoundPlan {
   std::vector<std::unique_ptr<LinearHashTable>> tables;
+  std::vector<std::unique_ptr<KeyFilter>> key_filters;
   StarPlan plan;
 };
 
@@ -86,12 +113,12 @@ struct PlanBuildOptions {
   LinearHashTable::ParallelFor parallel_for;
 };
 
-// Builds the plan (including filtered dimension hash tables — the join
-// build phase) for one SSB query. Join stages are ordered most selective
-// first using the estimated selectivities (stable sort, so equal-estimate
-// stages keep schema order). Deterministic; build cost is part of query
-// execution time, as in the paper's measurements (engines amortize it
-// across repeated runs through the exec::PlanCache).
+// Builds the plan (including filtered dimension hash tables and their key
+// filters — the join build phase) for one SSB query. Join stages are
+// ordered most selective first using the estimated selectivities (stable
+// sort, so equal-estimate stages keep schema order). Deterministic; build
+// cost is part of query execution time, as in the paper's measurements
+// (engines amortize it across repeated runs through the exec::PlanCache).
 BoundPlan BuildQueryPlan(const ssb::SsbDatabase& db, QueryId id);
 BoundPlan BuildQueryPlan(const ssb::SsbDatabase& db, QueryId id,
                          const PlanBuildOptions& options);

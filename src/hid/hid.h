@@ -93,6 +93,12 @@ HEF_INLINE hi_uint64<B> hi_xor_epi64(hi_uint64<B> a, hi_uint64<B> b) {
   return B::Xor(a, b);
 }
 
+// Unsigned minimum (vpminuq on AVX-512; compare + blend elsewhere).
+template <typename B>
+HEF_INLINE hi_uint64<B> hi_min_epu64(hi_uint64<B> a, hi_uint64<B> b) {
+  return B::Blend(B::CmpGt(a, b), a, b);
+}
+
 template <typename B, int kShift>
 HEF_INLINE hi_uint64<B> hi_srli_epi64(hi_uint64<B> a) {
   return B::template Srli<kShift>(a);

@@ -6,8 +6,10 @@
 #include "algo/murmur.h"
 #include "codegen/operator_template.h"
 #include "engine/query_id.h"
+#include "engine/star_plan.h"
 #include "storage/decode.h"
 #include "storage/decode_templates.h"
+#include "table/key_filter.h"
 #include "table/probe.h"
 
 namespace hef {
@@ -86,6 +88,11 @@ std::vector<ProvableKernel> BuildRegistry() {
   kernels.push_back({"dict_gather", "dict_gather",
                      storage::DictGatherTemplateText(),
                      storage::DictGatherSupportedConfigs()});
+  // The star plan's exact semi-join filter at the widest span the planner
+  // builds: the proof covers every 64-bit key, clamped into the bitmap.
+  kernels.push_back({"key_filter", "key_filter",
+                     KeyFilterTemplateText(kKeyFilterMaxSpan),
+                     KeyFilterSupportedConfigs()});
 
   // One entry per SSB query. The Q1.x plans are scan-dominated — their
   // hybrid kernel is the frame-of-reference decode; every Q2–Q4 plan is

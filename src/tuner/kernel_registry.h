@@ -30,9 +30,10 @@ struct ProvableKernel {
 };
 
 // Every registered kernel: murmur, crc64, mix64, the three storage
-// decode templates, and one entry per SSB query (Q1.x map to the
-// frame-of-reference decode that dominates their scan; Q2–Q4 map to the
-// hash-probe pipeline every join in their plans runs).
+// decode templates, the star plan's key filter, and one entry per SSB
+// query (Q1.x map to the frame-of-reference decode that dominates their
+// scan; Q2–Q4 map to the hash-probe pipeline every join in their plans
+// runs).
 const std::vector<ProvableKernel>& ProvableKernels();
 
 }  // namespace hef

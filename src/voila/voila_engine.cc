@@ -15,6 +15,7 @@
 #include "exec/runtime.h"
 #include "exec/task_pool.h"
 #include "engine/explain.h"
+#include "table/key_filter.h"
 #include "table/linear_hash_table.h"
 #include "telemetry/diagnostics.h"
 #include "telemetry/span.h"
@@ -121,6 +122,21 @@ struct VoilaEngine::Impl {
       const std::uint32_t i = r.sel[j];
       r.sel_next[m] = i;
       m += (r.val_vec[i] >= lo) & (r.val_vec[i] <= hi);
+    }
+    std::swap(r.sel, r.sel_next);
+    return m;
+  }
+
+  // Primitive: sel_next = positions whose key the join's key filter
+  // contains (the exact semi-join the HEF pipeline runs before its
+  // probes, as a branch-free selection over the shared plan's bitmap).
+  std::size_t SelectKeys(Regs& r, std::size_t n,
+                         const KeyFilter& filter) const {
+    std::size_t m = 0;
+    for (std::size_t j = 0; j < n; ++j) {
+      const std::uint32_t i = r.sel[j];
+      r.sel_next[m] = i;
+      m += filter.Contains(r.key_vec[i]) ? 1 : 0;
     }
     std::swap(r.sel, r.sel_next);
     return m;
@@ -258,6 +274,7 @@ struct VoilaEngine::Impl {
         stage_begin();
         const std::size_t in_rows = n;
         GatherColumn(regs, *j.fact_key, b0, n, regs.key_vec);
+        if (j.key_filter != nullptr) n = SelectKeys(regs, n, *j.key_filter);
         ComputeSlots(regs, *j.table, n);
         // Payloads land in the schema-order slot the gid mapping expects,
         // independent of probe order.

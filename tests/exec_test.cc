@@ -240,7 +240,6 @@ TEST_F(ExecIdentityTest, CachedVsColdBitIdenticalAllQueries) {
   EngineConfig cfg;
   cfg.flavor = Flavor::kHybrid;
   cfg.threads = 2;
-  cfg.bloom_prefilter = true;  // blooms live in the cache entry too
   SsbEngine engine(Db(), cfg);
   for (const QueryId id : AllQueries()) {
     const QueryResult cold = engine.Run(id);    // miss: builds the entry
@@ -323,15 +322,16 @@ TEST_F(ExecIdentityTest, StatsMergeAcrossWorkersWithCache) {
     const QueryResult r = engine.Run(QueryId::kQ2_1);
     ASSERT_FALSE(r.operator_stats.empty());
     EXPECT_EQ(r.operator_stats.front().name, "build");
-    std::uint64_t probe_rows_in = 0;
+    std::uint64_t join_rows_in = 0;
     for (const OperatorStats& s : r.operator_stats) {
-      if (s.name.rfind("probe.", 0) == 0 && probe_rows_in == 0) {
-        probe_rows_in = s.rows_in;
-      }
+      const bool join_stage = s.name.rfind("keyfilter.", 0) == 0 ||
+                              s.name.rfind("probe.", 0) == 0;
+      if (join_stage && join_rows_in == 0) join_rows_in = s.rows_in;
     }
-    // The first probe sees every fact row (Q2.1 has no filters), no
-    // matter how many workers the blocks were spread over.
-    EXPECT_EQ(probe_rows_in, Db().lineorder.n);
+    // The first join stage (its key filter, then its probe) sees every
+    // fact row (Q2.1 has no filters), no matter how many workers the
+    // blocks were spread over.
+    EXPECT_EQ(join_rows_in, Db().lineorder.n);
   }
 }
 

@@ -21,8 +21,8 @@ namespace {
 using telemetry::JsonValue;
 
 // A fabricated hybrid run with round numbers so both renderings are
-// byte-stable: a four-stage pipeline over a chunked scan (one late
-// decode row), cached plan, traced.
+// byte-stable: a pipeline over a chunked scan (one late decode row, one
+// join whose key filter runs before its probe), cached plan, traced.
 QueryResult SyntheticResult() {
   QueryResult result;
   result.rows.push_back(GroupRow{{1993, 0, 0}, 12345});
@@ -45,7 +45,8 @@ QueryResult SyntheticResult() {
   add("build", 2'000'000, 1, 100, 100);
   add("decode.partkey", 300'000, 4, 4000, 500);
   add("filter.year", 500'000, 4, 1000, 500);
-  add("probe.partkey", 1'000'000, 4, 500, 250);
+  add("keyfilter.partkey", 100'000, 4, 500, 260);
+  add("probe.partkey", 1'000'000, 4, 260, 250);
   add("groupby", 250'000, 4, 250, 250);
   return result;
 }
@@ -68,13 +69,15 @@ TEST(ExplainTextTest, GoldenTree) {
       "Q9.9 [hybrid] trace=0000000000000abc wall=5.000ms morsels=7 "
       "plan=cached\n"
       "groupby (v1 s2 p4)  self=0.250ms  rows 250 -> 250  calls=4\n"
-      "  `- probe.partkey (v2 s1 p3)  self=1.000ms  rows 500 -> 250"
+      "  `- probe.partkey (v2 s1 p3)  self=1.000ms  rows 260 -> 250"
+      "  sel=96.15%  calls=4\n"
+      "    `- keyfilter.partkey (v2 s1 p3)  self=0.100ms  rows 500 -> 260"
+      "  sel=52.00%  calls=4\n"
+      "      `- filter.year (v1 s2 p4)  self=0.500ms  rows 1000 -> 500"
       "  sel=50.00%  calls=4\n"
-      "    `- filter.year (v1 s2 p4)  self=0.500ms  rows 1000 -> 500"
-      "  sel=50.00%  calls=4\n"
-      "      `- decode.partkey (v2 s2 p1)  self=0.300ms  rows 4000 -> 500"
+      "        `- decode.partkey (v2 s2 p1)  self=0.300ms  rows 4000 -> 500"
       "  sel=12.50%  calls=4\n"
-      "        `- build  self=2.000ms  rows 100 -> 100\n");
+      "          `- build  self=2.000ms  rows 100 -> 100\n");
 }
 
 TEST(ExplainTextTest, UntunedAndStatlessRendering) {
@@ -119,7 +122,7 @@ TEST(ExplainJsonTest, GoldenDocumentParses) {
 
   const JsonValue* ops = doc.Find("operators");
   ASSERT_NE(ops, nullptr);
-  ASSERT_EQ(ops->array().size(), 5u);
+  ASSERT_EQ(ops->array().size(), 6u);
   const JsonValue& build = ops->array()[0];
   EXPECT_EQ(build.StringOr("name", ""), "build");
   EXPECT_EQ(build.StringOr("kind", ""), "build");
@@ -130,12 +133,18 @@ TEST(ExplainJsonTest, GoldenDocumentParses) {
   EXPECT_NEAR(decode.NumberOr("selectivity", 0), 0.125, 1e-9);
   ASSERT_NE(decode.Find("tuned"), nullptr);
   EXPECT_EQ(decode.Find("tuned")->NumberOr("s", -1), 2.0);  // decode point
-  const JsonValue& probe = ops->array()[3];
+  const JsonValue& keyfilter = ops->array()[3];
+  EXPECT_EQ(keyfilter.StringOr("name", ""), "keyfilter.partkey");
+  EXPECT_EQ(keyfilter.StringOr("kind", ""), "keyfilter");
+  EXPECT_NEAR(keyfilter.NumberOr("selectivity", 0), 0.52, 1e-9);
+  ASSERT_NE(keyfilter.Find("tuned"), nullptr);  // runs at the probe point
+  EXPECT_EQ(keyfilter.Find("tuned")->NumberOr("v", -1), 2.0);
+  const JsonValue& probe = ops->array()[4];
   EXPECT_EQ(probe.StringOr("kind", ""), "probe");
-  EXPECT_NEAR(probe.NumberOr("selectivity", 0), 0.5, 1e-9);
+  EXPECT_NEAR(probe.NumberOr("selectivity", 0), 250.0 / 260.0, 1e-9);
   ASSERT_NE(probe.Find("tuned"), nullptr);
   EXPECT_EQ(probe.Find("tuned")->NumberOr("s", -1), 1.0);
-  const JsonValue& sink = ops->array()[4];
+  const JsonValue& sink = ops->array()[5];
   EXPECT_EQ(sink.StringOr("kind", ""), "aggregate");
   ASSERT_NE(sink.Find("tuned"), nullptr);
   EXPECT_EQ(sink.Find("tuned")->NumberOr("v", -1), 1.0);  // gather point

@@ -1,5 +1,5 @@
 // Cross-cutting integration and property tests:
-//   * fuzz: every engine (3 flavours x {bloom on/off} + Voila) produces
+//   * fuzz: every engine (3 flavours + Voila) produces
 //     identical results on randomized databases (seeds x scales x queries);
 //   * workflow: the full offline pipeline — candidate generator -> pruning
 //     search -> tuning cache -> engine configured from the cache — runs end
@@ -30,16 +30,12 @@ TEST(EngineFuzzTest, AllEnginesAgreeOnRandomDatabases) {
       const QueryResult want = RunReferenceQuery(db, query);
       for (Flavor flavor :
            {Flavor::kScalar, Flavor::kSimd, Flavor::kHybrid}) {
-        for (bool bloom : {false, true}) {
-          EngineConfig config;
-          config.flavor = flavor;
-          config.bloom_prefilter = bloom;
-          SsbEngine engine(db, config);
-          ASSERT_EQ(engine.Run(query), want)
-              << "seed " << seed << " sf " << sf << " query "
-              << QueryName(query) << " flavor " << FlavorName(flavor)
-              << " bloom " << bloom;
-        }
+        EngineConfig config;
+        config.flavor = flavor;
+        SsbEngine engine(db, config);
+        ASSERT_EQ(engine.Run(query), want)
+            << "seed " << seed << " sf " << sf << " query "
+            << QueryName(query) << " flavor " << FlavorName(flavor);
       }
       VoilaEngine voila(db);
       ASSERT_EQ(voila.Run(query), want)
@@ -100,12 +96,11 @@ TEST(WorkflowTest, TuneCacheConfigureRunEndToEnd) {
 }
 
 TEST(EngineFuzzTest, AllStrategiesCombinedStillCorrect) {
-  // Every optional strategy at once: bloom pre-filter + fused filters +
-  // vectorized aggregation + 4 worker threads, across all queries.
+  // Every optional strategy at once: fused filters + vectorized
+  // aggregation + 4 worker threads, across all queries.
   const ssb::SsbDatabase db = ssb::SsbDatabase::Generate(0.01, 12);
   EngineConfig config;
   config.flavor = Flavor::kHybrid;
-  config.bloom_prefilter = true;
   config.fused_filters = true;
   config.vectorized_agg = true;
   config.threads = 4;

@@ -20,6 +20,7 @@
 #include "codegen/operator_template.h"
 #include "codegen/translator.h"
 #include "storage/decode_templates.h"
+#include "table/key_filter.h"
 #include "tuner/kernel_registry.h"
 #include "tuner/optimizer.h"
 #include "tuner/tune_trace.h"
@@ -170,7 +171,7 @@ TEST(SymbolicEquivalence, NormalizerProvesCommutedAndFoldedForms) {
 // ---------------------------------------------------------------------------
 // The acceptance sweep: every registered kernel proves across its full
 // compiled grid (murmur, crc64, mix64, the three storage decode
-// templates, and all 13 SSB query kernels).
+// templates, the key filter, and all 13 SSB query kernels).
 
 TEST(KernelProver, EveryRegisteredKernelProvesAcrossItsFullGrid) {
   std::set<std::string> seen_kernels;
@@ -206,7 +207,7 @@ TEST(KernelProver, EveryRegisteredKernelProvesAcrossItsFullGrid) {
   // query.
   for (const char* required :
        {"murmur", "crc64", "mix64", "unpack_bits", "for_add", "dict_gather",
-        "ssb_q1.1", "ssb_q1.2", "ssb_q1.3", "ssb_q2.1", "ssb_q2.2",
+        "key_filter", "ssb_q1.1", "ssb_q1.2", "ssb_q1.3", "ssb_q2.1", "ssb_q2.2",
         "ssb_q2.3", "ssb_q3.1", "ssb_q3.2", "ssb_q3.3", "ssb_q3.4",
         "ssb_q4.1", "ssb_q4.2", "ssb_q4.3"}) {
     EXPECT_EQ(seen_kernels.count(required), 1u) << required;
@@ -224,6 +225,24 @@ TEST(KernelProver, GoldenGatherOutOfBoundsRefutedHid013) {
   const std::string from = "[4096]";
   ASSERT_NE(text.find(from), std::string::npos);
   text.replace(text.find(from), from.size(), "[2048]");
+  const OperatorTemplate op = OperatorTemplate::Parse(text).value();
+  const KernelProof proof = analysis::ProveKernel(
+      op, DescriptionTable::Builtin(), ProveOptions{});
+  EXPECT_FALSE(proof.proven());
+  EXPECT_TRUE(HasRule(proof.diagnostics, "HID013"));
+}
+
+TEST(KernelProver, KeyFilterWithoutClampRefutedHid013) {
+  // Without the min clamp, a key below lo wraps to a huge offset and the
+  // word gather leaves the bitmap: the range tier must catch it.
+  std::string text = KeyFilterTemplateText(6000);
+  const std::string clamp = "d = hi_min_epu64(d, span)\n";
+  ASSERT_NE(text.find(clamp), std::string::npos);
+  const OperatorTemplate clamped = OperatorTemplate::Parse(text).value();
+  EXPECT_TRUE(analysis::ProveKernel(clamped, DescriptionTable::Builtin(),
+                                    ProveOptions{})
+                  .proven());
+  text.erase(text.find(clamp), clamp.size());
   const OperatorTemplate op = OperatorTemplate::Parse(text).value();
   const KernelProof proof = analysis::ProveKernel(
       op, DescriptionTable::Builtin(), ProveOptions{});
@@ -369,6 +388,30 @@ TEST(ValueRange, TransferFunctionsAreSoundOnKnownCases) {
       ValueRange::Between(0, 15), ValueRange::Exact(2), &wrap);
   EXPECT_FALSE(wrap);
   EXPECT_EQ(doubled.hi, 60u);
+
+  // The unsigned-min clamp bounds a full-range value.
+  const ValueRange clamped = analysis::RangeMinU(
+      ValueRange::Full(), ValueRange::Exact(6000));
+  EXPECT_EQ(clamped.lo, 0u);
+  EXPECT_EQ(clamped.hi, 6000u);
+  const ValueRange lower = analysis::RangeMinU(
+      ValueRange::Between(10, 20), ValueRange::Between(5, 100));
+  EXPECT_EQ(lower.lo, 5u);
+  EXPECT_EQ(lower.hi, 20u);
+}
+
+TEST(SymbolicEquivalence, UnsignedMinNormalizes) {
+  analysis::ExprArena arena;
+  const analysis::Expr* x = arena.Input(0);
+  const analysis::Expr* y = arena.Input(1);
+  EXPECT_EQ(arena.MinU(x, y), arena.MinU(y, x));
+  EXPECT_EQ(arena.MinU(x, x), x);
+  EXPECT_EQ(arena.MinU(x, arena.Const(~0ULL)), x);
+  EXPECT_EQ(arena.MinU(x, arena.Const(0)), arena.Const(0));
+  EXPECT_EQ(arena.MinU(arena.Const(3), arena.Const(9)), arena.Const(3));
+  EXPECT_EQ(arena.MinU(arena.MinU(x, arena.Const(5)), arena.Const(3)),
+            arena.MinU(x, arena.Const(3)));
+  EXPECT_NE(arena.MinU(x, y), x);
 }
 
 TEST(ValueRange, UnpackBitsIntervalsProveTheGatherInBounds) {

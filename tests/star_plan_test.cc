@@ -107,5 +107,62 @@ TEST(StarPlanTest, GidDecodeRoundTripsOverDomain) {
   }
 }
 
+TEST(StarPlanTest, KeyFilterLimits) {
+  // Strictly below the selectivity limit, at most the span cap.
+  EXPECT_TRUE(WantKeyFilter(0.0, 0));
+  EXPECT_TRUE(WantKeyFilter(0.2, 6000));
+  EXPECT_TRUE(WantKeyFilter(kKeyFilterMaxSelectivity - 1e-9,
+                            kKeyFilterMaxSpan));
+  EXPECT_FALSE(WantKeyFilter(kKeyFilterMaxSelectivity, 10));
+  EXPECT_FALSE(WantKeyFilter(1.0, 10));
+  EXPECT_FALSE(WantKeyFilter(0.01, kKeyFilterMaxSpan + 1));
+}
+
+TEST(StarPlanTest, KeyFiltersBuiltExactlyForSelectiveJoins) {
+  int filtered = 0;
+  int unfiltered = 0;
+  for (const QueryId id : AllQueries()) {
+    const BoundPlan bound = BuildQueryPlan(TestDb(), id);
+    std::size_t owned = 0;
+    for (const JoinStage& join : bound.plan.joins) {
+      const std::uint64_t span =
+          join.key_hi >= join.key_lo ? join.key_hi - join.key_lo + 1 : 0;
+      ASSERT_EQ(join.key_filter != nullptr,
+                WantKeyFilter(join.selectivity, span))
+          << QueryName(id) << " sel " << join.selectivity;
+      if (join.key_filter == nullptr) {
+        ++unfiltered;
+        continue;
+      }
+      ++filtered;
+      ++owned;
+      // Exact: one bit per dimension key, every key accepted.
+      const KeyFilter& filter = *join.key_filter;
+      EXPECT_EQ(filter.Popcount(), join.table->size()) << QueryName(id);
+      EXPECT_EQ(filter.span(), span) << QueryName(id);
+      if (span != 0) {
+        EXPECT_EQ(filter.lo(), join.key_lo) << QueryName(id);
+      }
+      for (std::size_t slot = 0; slot < join.table->capacity(); ++slot) {
+        const std::uint64_t key = join.table->keys()[slot];
+        if (key != kEmptyKey) {
+          ASSERT_TRUE(filter.Contains(key)) << QueryName(id) << " " << key;
+        }
+      }
+    }
+    // The plan owns its filters, so a cached plan reuses them.
+    EXPECT_EQ(bound.key_filters.size(), owned) << QueryName(id);
+  }
+  // Both sides of the limit occur across the 13 queries: the selective
+  // dimension joins get filters, the unfiltered date joins do not.
+  EXPECT_GT(filtered, 0);
+  EXPECT_GT(unfiltered, 0);
+  for (const QueryId id : {QueryId::kQ2_1, QueryId::kQ4_1}) {
+    const BoundPlan bound = BuildQueryPlan(TestDb(), id);
+    EXPECT_NE(bound.plan.joins.front().key_filter, nullptr) << QueryName(id);
+    EXPECT_EQ(bound.plan.joins.back().key_filter, nullptr) << QueryName(id);
+  }
+}
+
 }  // namespace
 }  // namespace hef

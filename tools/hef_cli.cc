@@ -84,6 +84,35 @@ void WarnCacheError(const char* action, const Status& status) {
       .Increment();
 }
 
+// Configures `config` from the tuning cache written by `hef tune`: the
+// probe and gather optima, and the unpack_bits optimum as the decode
+// point (the gather-bound unpack is the decode kernel every encoded chunk
+// runs). Each applied point's predicted ns/row becomes the drift
+// sentinel's reference for that kernel. Returns "probe v1s1p3, ..." for
+// the points applied; empty when the cache holds none of them.
+std::string ApplyCachedTuning(const TuningCache& cache,
+                              EngineConfig* config) {
+  struct Point {
+    const char* cache_op;  // operator name `hef tune` saves under
+    const char* kernel;    // drift-sentinel kernel and log label
+    HybridConfig* target;
+  };
+  const Point points[] = {{"probe", "probe", &config->probe_cfg},
+                          {"gather", "gather", &config->gather_cfg},
+                          {"unpack_bits", "decode", &config->decode_cfg}};
+  std::string applied;
+  for (const Point& point : points) {
+    if (!cache.Contains(point.cache_op)) continue;
+    const TuningCache::Entry entry = cache.Get(point.cache_op).value();
+    *point.target = entry.config;
+    DriftMonitor::Get().SetPrediction(point.kernel, entry.config.ToString(),
+                                      entry.ns_per_row);
+    if (!applied.empty()) applied += ", ";
+    applied += std::string(point.kernel) + " " + entry.config.ToString();
+  }
+  return applied;
+}
+
 int CmdInfo(int argc, char** argv) {
   FlagParser flags;
   flags.AddString("model", "host", "processor model to describe");
@@ -278,21 +307,9 @@ int CmdQuery(int argc, char** argv) {
   hybrid_cfg.flavor = Flavor::kHybrid;
   TuningCache cache(flags.GetString("cache"));
   WarnCacheError("load", cache.Load());
-  if (cache.Contains("probe") && cache.Contains("gather")) {
-    const TuningCache::Entry probe = cache.Get("probe").value();
-    const TuningCache::Entry gather = cache.Get("gather").value();
-    hybrid_cfg.probe_cfg = probe.config;
-    hybrid_cfg.gather_cfg = gather.config;
-    std::printf("using cached tuning: probe %s, gather %s\n",
-                hybrid_cfg.probe_cfg.ToString().c_str(),
-                hybrid_cfg.gather_cfg.ToString().c_str());
-    // Register the tuner's cost predictions so the drift sentinel can
-    // compute residuals for this run's per-operator windows (--stats).
-    DriftMonitor& drift = DriftMonitor::Get();
-    drift.SetPrediction("probe", probe.config.ToString(),
-                        probe.ns_per_row);
-    drift.SetPrediction("gather", gather.config.ToString(),
-                        gather.ns_per_row);
+  const std::string tuned = ApplyCachedTuning(cache, &hybrid_cfg);
+  if (!tuned.empty()) {
+    std::printf("using cached tuning: %s\n", tuned.c_str());
   }
 
   telemetry::BenchReport report("hef_query");
@@ -915,19 +932,9 @@ int CmdServe(int argc, char** argv) {
   // bench harnesses.
   TuningCache cache(flags.GetString("cache"));
   WarnCacheError("load", cache.Load());
-  if (cache.Contains("probe") && cache.Contains("gather")) {
-    const TuningCache::Entry probe = cache.Get("probe").value();
-    const TuningCache::Entry gather = cache.Get("gather").value();
-    config.engine.probe_cfg = probe.config;
-    config.engine.gather_cfg = gather.config;
-    DriftMonitor& drift = DriftMonitor::Get();
-    drift.SetPrediction("probe", probe.config.ToString(),
-                        probe.ns_per_row);
-    drift.SetPrediction("gather", gather.config.ToString(),
-                        gather.ns_per_row);
-    std::fprintf(stderr, "using cached tuning: probe %s, gather %s\n",
-                 config.engine.probe_cfg.ToString().c_str(),
-                 config.engine.gather_cfg.ToString().c_str());
+  const std::string tuned = ApplyCachedTuning(cache, &config.engine);
+  if (!tuned.empty()) {
+    std::fprintf(stderr, "using cached tuning: %s\n", tuned.c_str());
   }
   config.http_workers = static_cast<int>(flags.GetInt64("http_workers"));
   if (config.http_workers <= 0) {
