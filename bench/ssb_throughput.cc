@@ -140,7 +140,10 @@ int Main(int argc, char** argv) {
   FlagParser flags;
   flags.AddDouble("sf", 1.0, "SSB scale factor");
   flags.AddDouble("duration", 10.0, "measurement seconds");
-  flags.AddInt64("warmup", 1, "untimed passes over the mix before timing");
+  flags.AddInt64("warmup", 1,
+                 "untimed passes over the mix before timing; when > 0, "
+                 "the cold first pass is followed by at least the drift "
+                 "sentinel's min_windows warm passes that calibrate it");
   flags.AddString("flavor", "hybrid",
                   "scalar | simd | hybrid | voila | auto (best supported)");
   flags.AddDouble("deadline_ms", 0.0,
@@ -391,20 +394,21 @@ int Main(int argc, char** argv) {
     std::printf("dropped flat fact columns; resident database %.1f MiB\n",
                 static_cast<double>(db.TotalBytes()) / (1 << 20));
   }
-  for (int w = 0; w < warmup; ++w) {
-    // Warm passes after the first double as drift calibration: resetting
-    // after the cold pass keeps plan-build cost out of the baseline (it
-    // would make every warm replay look like "fast" drift), and every
-    // later pass both warms caches and feeds calibration windows.
-    // --warmup=1 therefore calibrates cold; use >=2 (CI uses 4) when
-    // asserting on drift.
-    if (w == 1) DriftMonitor::Get().Reset();
+  // Warm-up. The first pass is cold — plan builds, cold caches — and is
+  // dropped from drift calibration (its windows would seal a baseline
+  // every warm replay beats, i.e. "fast" drift); the passes after it
+  // calibrate, at least min_windows of them so every key gets the
+  // median SealBaseline needs.
+  const int min_windows = DriftMonitor::Get().options().min_windows;
+  const int passes = warmup > 0 ? 1 + std::max(warmup - 1, min_windows) : 0;
+  for (int w = 0; w < passes; ++w) {
     for (const QueryId id : mix) {
       if (cold_plans) invalidate();
       run(id);
     }
+    if (w == 0) DriftMonitor::Get().Reset();
   }
-  // Sealing adopts the calibrated steady-state minimum as the predicted
+  // Sealing adopts the calibrated steady-state median as the predicted
   // cost for every key the tuner never covered, so the replay measures
   // residuals against this host's demonstrated baseline. Keys with tuner
   // predictions are untouched.

@@ -15,7 +15,7 @@ namespace {
 // inputs of the lowering; the template-level count folds in the stream /
 // pointer operand the translator synthesizes the address for).
 int ExpectedTemplateArgs(const std::string& op, const OpPattern& pattern) {
-  if (op == "hi_load_epi64") return 1;   // (IN)
+  if (IsLoadOp(op)) return 1;            // (IN)
   if (op == "hi_store_epi64") return 2;  // (OUT, src)
   if (op == "hi_gather_epi64") return 2;  // (ptr, idx)
   return pattern.arity;
@@ -34,7 +34,7 @@ class Verifier {
     bool loaded = false;
     bool stored = false;
     for (const TemplateStatement& st : op_.body) {
-      const bool is_load = st.op == "hi_load_epi64";
+      const bool is_load = IsLoadOp(st.op);
       const bool is_store = st.op == "hi_store_epi64";
       const bool is_gather = st.op == "hi_gather_epi64";
 
@@ -97,6 +97,12 @@ class Verifier {
       }
       if (is_load && (st.args.empty() || st.args[0] != "IN")) {
         Error(st.line, "HID004", "load must read the IN stream");
+      }
+      if (is_load && LoadOpBits(st.op) != InputBits(op_)) {
+        Error(st.line, "HID004",
+              "load '" + st.op +
+                  "' disagrees with the template's first load on the IN "
+                  "element width");
       }
       if (is_store && (st.args.empty() || st.args[0] != "OUT")) {
         Error(st.line, "HID004", "store must write the OUT stream");

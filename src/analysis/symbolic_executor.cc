@@ -71,7 +71,7 @@ std::string InstantiateStatement(const OperatorTemplate& op,
                                     : "ofs + " + std::to_string(offset);
   std::string stmt =
       ist.vector ? pattern.ForIsa(visa) : pattern.scalar;
-  if (st.op == "hi_load_epi64") {
+  if (IsLoadOp(st.op)) {
     stmt = Substitute(stmt, "{dst}", InstanceVarName(st.dst, ist));
     stmt = Substitute(stmt, "{a}", "in + " + addr_tail);
   } else if (st.op == "hi_store_epi64") {
@@ -196,6 +196,13 @@ struct ConcreteOps {
   }
 };
 
+// A concrete IN element as `load` reads it: a widening load sees only
+// the element's low bits.
+std::uint64_t ZeroExtend(std::uint64_t v, const std::string& load) {
+  const int bits = LoadOpBits(load);
+  return bits >= 64 ? v : v & ((1ULL << bits) - 1);
+}
+
 // Symbolic machine state for one chunk slice: every instance register
 // holds `lanes(instance)` expression lanes.
 class SymbolicMachine {
@@ -225,11 +232,12 @@ class SymbolicMachine {
     const int width = ist.vector ? lanes_ : 1;
     const int offset = InstanceOffset(ist, cfg_, lanes_);
 
-    if (st.op == "hi_load_epi64") {
+    if (IsLoadOp(st.op)) {
       std::vector<const Expr*>& reg = env_[InstanceVarName(st.dst, ist)];
       reg.resize(static_cast<std::size_t>(width));
       for (int i = 0; i < width; ++i) {
-        reg[static_cast<std::size_t>(i)] = arena_.Input(offset + i);
+        reg[static_cast<std::size_t>(i)] =
+            arena_.Input(offset + i, LoadOpBits(st.op));
       }
       return Status::OK();
     }
@@ -405,8 +413,8 @@ Result<const Expr*> EvalScalarReference(const OperatorTemplate& op,
     return it == env.end() ? nullptr : it->second;
   };
   for (const TemplateStatement& st : op.body) {
-    if (st.op == "hi_load_epi64") {
-      env[st.dst] = arena.Input(element_offset);
+    if (IsLoadOp(st.op)) {
+      env[st.dst] = arena.Input(element_offset, LoadOpBits(st.op));
       continue;
     }
     if (st.op == "hi_store_epi64") {
@@ -557,11 +565,11 @@ Result<std::vector<std::uint64_t>> ExecuteTranslatedConcrete(
       if (it == env.end()) return 0;
       return it->second[static_cast<std::size_t>(lane)];
     };
-    if (st.op == "hi_load_epi64") {
+    if (IsLoadOp(st.op)) {
       std::vector<std::uint64_t> reg(static_cast<std::size_t>(width));
       for (int i = 0; i < width; ++i) {
-        reg[static_cast<std::size_t>(i)] =
-            in[ofs + offset + static_cast<std::size_t>(i)];
+        reg[static_cast<std::size_t>(i)] = ZeroExtend(
+            in[ofs + offset + static_cast<std::size_t>(i)], st.op);
       }
       env[InstanceVarName(st.dst, ist)] = std::move(reg);
       return Status::OK();
@@ -634,8 +642,8 @@ Result<std::vector<std::uint64_t>> ExecuteReferenceConcrete(
       return it == env.end() ? 0 : it->second;
     };
     for (const TemplateStatement& st : op.body) {
-      if (st.op == "hi_load_epi64") {
-        env[st.dst] = in[k];
+      if (IsLoadOp(st.op)) {
+        env[st.dst] = ZeroExtend(in[k], st.op);
       } else if (st.op == "hi_store_epi64") {
         out[k] = operand(st.args[1]);
       } else if (st.op == "hi_gather_epi64") {

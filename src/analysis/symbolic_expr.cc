@@ -94,8 +94,9 @@ const Expr* ExprArena::Const(std::uint64_t v) {
   return Intern(Key{ExprKind::kConst, v, 0, "", {}});
 }
 
-const Expr* ExprArena::Input(int offset) {
-  return Intern(Key{ExprKind::kInput, 0, offset, "", {}});
+const Expr* ExprArena::Input(int offset, int bits) {
+  return Intern(Key{ExprKind::kInput, static_cast<std::uint64_t>(bits),
+                    offset, "", {}});
 }
 
 const Expr* ExprArena::Undef(int id) {
@@ -268,7 +269,9 @@ std::string ExprToString(const Expr* e, int max_depth) {
                     static_cast<unsigned long long>(e->value));
       return buf;
     case ExprKind::kInput:
-      return "in[" + std::to_string(e->input_offset) + "]";
+      return (e->value == 64 ? std::string("in[")
+                             : "in_u" + std::to_string(e->value) + "[") +
+             std::to_string(e->input_offset) + "]";
     case ExprKind::kUndef:
       return "undef#" + std::to_string(e->input_offset);
     case ExprKind::kGather:

@@ -16,7 +16,7 @@
 //     all normalize to one node.
 //
 // The base terms are Input(k) (element k of the IN stream slice being
-// verified), Const, Gather(ptr, idx) (an uninterpreted function per ptr
+// verified, tagged with the width it is loaded at), Const, Gather(ptr, idx) (an uninterpreted function per ptr
 // parameter), and Undef (a read of a never-written register — never equal
 // to anything but itself, so broken schedules refute instead of proving).
 //
@@ -38,7 +38,7 @@ namespace analysis {
 
 enum class ExprKind {
   kConst,   // value
-  kInput,   // input_offset: in[slice_base + k]
+  kInput,   // input_offset: in[slice_base + k]; value: element bits
   kUndef,   // input_offset doubles as the undef id
   kGather,  // ptr[operands[0]]
   kAdd,     // n-ary, flattened + sorted
@@ -54,7 +54,7 @@ enum class ExprKind {
 
 struct Expr {
   ExprKind kind = ExprKind::kConst;
-  std::uint64_t value = 0;  // kConst payload
+  std::uint64_t value = 0;  // kConst payload; kInput element bits
   int input_offset = 0;     // kInput / kUndef payload
   std::string ptr;          // kGather base name
   std::vector<const Expr*> operands;
@@ -73,7 +73,10 @@ class ExprArena {
   ExprArena& operator=(const ExprArena&) = delete;
 
   const Expr* Const(std::uint64_t v);
-  const Expr* Input(int offset);
+  // Element k of the IN slice, read `bits` wide (64, or 8/16/32 for a
+  // widening load's zero-extended lane). Different widths are different
+  // symbols: a kernel loading the wrong width cannot prove.
+  const Expr* Input(int offset, int bits = 64);
   // A fresh-per-id opaque value; reads of never-written registers map
   // here so they cannot accidentally prove equal to real data.
   const Expr* Undef(int id);

@@ -1,5 +1,6 @@
 #include "analysis/value_range.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <map>
 
@@ -179,8 +180,17 @@ RangeAnalysis AnalyzeValueRanges(const OperatorTemplate& op,
   };
 
   for (const TemplateStatement& st : op.body) {
-    if (st.op == "hi_load_epi64") {
-      if (!st.dst.empty()) env[st.dst] = input;
+    if (IsLoadOp(st.op)) {
+      // A widening load zero-extends W-bit elements: 0..2^W-1 whatever
+      // IN declares.
+      const int bits = LoadOpBits(st.op);
+      ValueRange loaded = input;
+      if (bits < 64) {
+        const std::uint64_t max = (1ULL << bits) - 1;
+        loaded = ValueRange::Between(input.lo <= max ? input.lo : 0,
+                                     std::min(input.hi, max));
+      }
+      if (!st.dst.empty()) env[st.dst] = loaded;
       continue;
     }
     if (st.op == "hi_store_epi64") {

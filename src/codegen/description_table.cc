@@ -82,6 +82,27 @@ DescriptionTable DescriptionTable::Builtin() {
           {1, false, "{dst} = *({a});",
            "{dst} = _mm256_loadu_si256((const __m256i*)({a}));",
            "{dst} = _mm512_loadu_si512({a});"});
+  // Widening loads: IN holds 8/16/32-bit unsigned values, each
+  // zero-extended into a 64-bit lane (vpmovzx{b,w,d}q; the translator
+  // types the kernel's `in` pointer to match). The AVX-512 forms are the
+  // all-lanes masked ones, which seed no undefined register.
+  t.AddOp("hi_load_epu8",
+          {1, false, "{dst} = (uint64_t)*({a});",
+           "{dst} = _mm256_cvtepu8_epi64(_mm_loadu_si32({a}));",
+           "{dst} = _mm512_maskz_cvtepu8_epi64((__mmask8)0xFF, "
+           "_mm_loadl_epi64((const __m128i*)({a})));"});
+  t.AddOp("hi_load_epu16",
+          {1, false, "{dst} = (uint64_t)*({a});",
+           "{dst} = _mm256_cvtepu16_epi64("
+           "_mm_loadl_epi64((const __m128i*)({a})));",
+           "{dst} = _mm512_maskz_cvtepu16_epi64((__mmask8)0xFF, "
+           "_mm_loadu_si128((const __m128i*)({a})));"});
+  t.AddOp("hi_load_epu32",
+          {1, false, "{dst} = (uint64_t)*({a});",
+           "{dst} = _mm256_cvtepu32_epi64("
+           "_mm_loadu_si128((const __m128i*)({a})));",
+           "{dst} = _mm512_maskz_cvtepu32_epi64((__mmask8)0xFF, "
+           "_mm256_loadu_si256((const __m256i*)({a})));"});
   t.AddOp("hi_store_epi64",
           {2, false, "*({a}) = {b};",
            "_mm256_storeu_si256((__m256i*)({a}), {b});",

@@ -19,8 +19,10 @@ namespace hef {
 // A dlopen'ed generated kernel; unloads on destruction.
 class CompiledKernel {
  public:
-  using Fn = void (*)(const std::uint64_t* in, std::uint64_t* out,
-                      std::size_t n, const std::uint64_t* aux);
+  // `in` is the IN stream: 64-bit elements, or the 8/16/32-bit ones of a
+  // widening-load template.
+  using Fn = void (*)(const void* in, std::uint64_t* out, std::size_t n,
+                      const std::uint64_t* aux);
 
   CompiledKernel(void* handle, Fn fn) : handle_(handle), fn_(fn) {}
   ~CompiledKernel();
@@ -33,7 +35,7 @@ class CompiledKernel {
   CompiledKernel(const CompiledKernel&) = delete;
   CompiledKernel& operator=(const CompiledKernel&) = delete;
 
-  void Run(const std::uint64_t* in, std::uint64_t* out, std::size_t n,
+  void Run(const void* in, std::uint64_t* out, std::size_t n,
            const std::uint64_t* aux = nullptr) const {
     fn_(in, out, n, aux);
   }

@@ -244,10 +244,13 @@ Result<OperatorTemplate> ParseTemplate(const std::string& text,
     if (!st.dst.empty()) assigned.insert(st.dst);
 
     // Structural checks.
-    if (st.op == "hi_load_epi64") {
+    if (IsLoadOp(st.op)) {
       if (strict &&
           (st.args.size() != 1 || st.args[0] != "IN" || st.dst.empty())) {
-        return fail("load must be '<var> = hi_load_epi64(IN)'");
+        return fail("load must be '<var> = " + st.op + "(IN)'");
+      }
+      if (strict && loaded && LoadOpBits(st.op) != InputBits(t)) {
+        return fail("loads disagree on the IN element width");
       }
       loaded = true;
     } else if (st.op == "hi_store_epi64") {
@@ -287,6 +290,21 @@ Result<OperatorTemplate> ParseTemplate(const std::string& text,
 
 Result<OperatorTemplate> OperatorTemplate::Parse(const std::string& text) {
   return ParseTemplate(text, /*strict=*/true);
+}
+
+int LoadOpBits(const std::string& op) {
+  if (op == "hi_load_epi64") return 64;
+  if (op == "hi_load_epu8") return 8;
+  if (op == "hi_load_epu16") return 16;
+  if (op == "hi_load_epu32") return 32;
+  return 0;
+}
+
+int InputBits(const OperatorTemplate& op) {
+  for (const TemplateStatement& st : op.body) {
+    if (IsLoadOp(st.op)) return LoadOpBits(st.op);
+  }
+  return 64;
 }
 
 Result<OperatorTemplate> OperatorTemplate::ParseSyntaxOnly(

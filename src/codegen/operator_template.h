@@ -16,6 +16,9 @@
 //   nowrap                          # assert no unsigned wraparound (HID014)
 //   body:
 //   <dst> = hi_load_epi64(IN)       # stream load (offset per instance)
+//   <dst> = hi_load_epu16(IN)       # widening load: IN holds 16-bit
+//                                   # (or epu8 / epu32) unsigned values,
+//                                   # each zero-extended to 64 bits
 //   <dst> = hi_<op>(<a>[, <b>])     # computational statement
 //   <dst> = hi_srli_epi64(<a>, <imm>)
 //   <dst> = hi_gather_epi64(<ptr>, <idx>)
@@ -92,6 +95,17 @@ struct OperatorTemplate {
   bool IsConstant(const std::string& n) const;
   bool IsPointer(const std::string& n) const;
 };
+
+// Element width in bits of the IN stream a load op reads: 64 for
+// hi_load_epi64, 8 / 16 / 32 for the widening hi_load_epu{8,16,32}, and
+// 0 when `op` is not a stream load.
+int LoadOpBits(const std::string& op);
+inline bool IsLoadOp(const std::string& op) { return LoadOpBits(op) != 0; }
+
+// Element width of a template's IN stream: that of its first load, 64
+// when it has none. Every load of a template reads the same width (the
+// parser and HID004 enforce it).
+int InputBits(const OperatorTemplate& op);
 
 // Templates for the paper's two synthetic operators.
 std::string BuiltinMurmurTemplate();

@@ -513,8 +513,37 @@ struct SsbEngine::Impl {
         const JoinStage& j = plan.joins[ji];
         if (n == 0) break;
         op_begin();
+        // Code-space semi-join: while the selection is still the whole
+        // block and its key column untouched, the key filter tests the
+        // chunk's packed FoR codes directly, so the fetch below decodes
+        // only the keys that pass.
+        bool code_filtered = false;
+        if (j.key_filter != nullptr && chunked != nullptr && identity) {
+          const DecodedCol& d = dcols[dcol_index(*j.fact_key)];
+          if (d.base == nullptr && d.col->HasCodeFilter(b0)) {
+            code_filtered = true;
+            carved_call(keyfilter_acc_base + ji, n, [&]() -> std::uint64_t {
+              using CodeFilter = storage::ChunkedColumn::CodeFilter;
+              switch (d.col->FilterBlockCodes(probe_cfg, b0, n,
+                                              *j.key_filter,
+                                              filter_out.data())) {
+                case CodeFilter::kAll:
+                  return n;
+                case CodeFilter::kNone:
+                  apply_selection(0);
+                  return 0;
+                case CodeFilter::kPerRow:
+                  break;
+              }
+              const std::size_t fm = CompactInRange(
+                  flavor, filter_out.data(), n, 1, 1, pos.data());
+              if (fm != n) apply_selection(fm);
+              return fm;
+            });
+          }
+        }
         const std::uint64_t* k = fetch(*j.fact_key, keys);
-        if (j.key_filter != nullptr) {
+        if (j.key_filter != nullptr && !code_filtered) {
           // Exact semi-join: drop the keys the dimension cannot contain,
           // compacting the selection and the already-fetched key vector
           // (no re-fetch, which would decode again), so the hash probe

@@ -15,6 +15,7 @@
 #define HEF_HID_AVX2_BACKEND_H_
 
 #include <cstdint>
+#include <cstring>
 
 #if defined(__AVX2__)
 #define HEF_HAVE_AVX2 1
@@ -38,6 +39,23 @@ struct Avx2Backend {
 
   static HEF_INLINE Reg LoadU(const std::uint64_t* p) {
     return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+  }
+  // Widening load (vpmovzx{b,w,d}q): four kBits-bit unsigned values,
+  // zero-extended into the 64-bit lanes. Reads exactly 4 * kBits bits.
+  template <int kBits>
+  static HEF_INLINE Reg LoadZx(const void* p) {
+    static_assert(kBits == 8 || kBits == 16 || kBits == 32);
+    if constexpr (kBits == 8) {
+      int v;
+      std::memcpy(&v, p, sizeof(v));
+      return _mm256_cvtepu8_epi64(_mm_cvtsi32_si128(v));
+    } else if constexpr (kBits == 16) {
+      return _mm256_cvtepu16_epi64(
+          _mm_loadl_epi64(static_cast<const __m128i*>(p)));
+    } else {
+      return _mm256_cvtepu32_epi64(
+          _mm_loadu_si128(static_cast<const __m128i*>(p)));
+    }
   }
   static HEF_INLINE void StoreU(std::uint64_t* p, Reg v) {
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);

@@ -36,6 +36,22 @@ struct Avx512Backend {
   static HEF_INLINE Reg LoadU(const std::uint64_t* p) {
     return _mm512_loadu_si512(p);
   }
+  // Widening load (vpmovzx{b,w,d}q): eight kBits-bit unsigned values,
+  // zero-extended into the 64-bit lanes. Reads exactly 8 * kBits bits.
+  template <int kBits>
+  static HEF_INLINE Reg LoadZx(const void* p) {
+    static_assert(kBits == 8 || kBits == 16 || kBits == 32);
+    if constexpr (kBits == 8) {
+      return _mm512_maskz_cvtepu8_epi64(
+          kAllLanes, _mm_loadl_epi64(static_cast<const __m128i*>(p)));
+    } else if constexpr (kBits == 16) {
+      return _mm512_maskz_cvtepu16_epi64(
+          kAllLanes, _mm_loadu_si128(static_cast<const __m128i*>(p)));
+    } else {
+      return _mm512_maskz_cvtepu32_epi64(
+          kAllLanes, _mm256_loadu_si256(static_cast<const __m256i*>(p)));
+    }
+  }
   static HEF_INLINE void StoreU(std::uint64_t* p, Reg v) {
     _mm512_storeu_si512(p, v);
   }

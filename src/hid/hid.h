@@ -47,6 +47,24 @@ HEF_INLINE hi_uint64<B> hi_load_epi64(const std::uint64_t* p) {
   return B::LoadU(p);
 }
 
+// Widening loads (vpmovzxbq / wq / dq): kLanes consecutive 8/16/32-bit
+// unsigned values, each zero-extended into a 64-bit lane. The code-space
+// key filter reads bit-packed chunk codes with them, no unpack needed.
+template <typename B>
+HEF_INLINE hi_uint64<B> hi_load_epu8(const std::uint8_t* p) {
+  return B::template LoadZx<8>(p);
+}
+
+template <typename B>
+HEF_INLINE hi_uint64<B> hi_load_epu16(const std::uint16_t* p) {
+  return B::template LoadZx<16>(p);
+}
+
+template <typename B>
+HEF_INLINE hi_uint64<B> hi_load_epu32(const std::uint32_t* p) {
+  return B::template LoadZx<32>(p);
+}
+
 template <typename B>
 HEF_INLINE void hi_store_epi64(std::uint64_t* p, hi_uint64<B> v) {
   B::StoreU(p, v);

@@ -9,6 +9,8 @@
 //   static constexpr int kLanes; // 64-bit lanes per Reg
 //   static constexpr Isa kIsa;
 //   Reg  LoadU(const uint64_t* p);         void StoreU(uint64_t* p, Reg v);
+//   Reg  LoadZx<bits>(const void* p);      (kLanes 8/16/32-bit unsigned
+//                                           values, zero-extended)
 //   Reg  Set1(uint64_t x);                 Reg  Gather(const uint64_t* base, Reg idx);
 //   Reg  Add/Sub/Mul/And/Or/Xor(Reg, Reg);
 //   Reg  Srli<k>(Reg); Reg Slli<k>(Reg);   (compile-time shift counts)
@@ -23,6 +25,8 @@
 #define HEF_HID_SCALAR_BACKEND_H_
 
 #include <cstdint>
+#include <cstring>
+#include <type_traits>
 
 #include "common/macros.h"
 #include "procinfo/cpu_features.h"
@@ -40,6 +44,18 @@ struct ScalarBackend {
   static constexpr Isa kIsa = Isa::kScalar;
 
   static HEF_INLINE Reg LoadU(const std::uint64_t* p) { return *p; }
+  // Widening load: one kBits-bit unsigned value, zero-extended. memcpy
+  // keeps the narrow read legal over storage typed as 64-bit words.
+  template <int kBits>
+  static HEF_INLINE Reg LoadZx(const void* p) {
+    static_assert(kBits == 8 || kBits == 16 || kBits == 32);
+    using Narrow = std::conditional_t<
+        kBits == 8, std::uint8_t,
+        std::conditional_t<kBits == 16, std::uint16_t, std::uint32_t>>;
+    Narrow v;
+    std::memcpy(&v, p, sizeof(v));
+    return v;
+  }
   static HEF_INLINE void StoreU(std::uint64_t* p, Reg v) { *p = v; }
   static HEF_INLINE Reg Set1(std::uint64_t x) { return x; }
 

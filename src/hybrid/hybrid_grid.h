@@ -30,7 +30,8 @@ class HybridGrid {
 
  public:
   using Elem = typename VecB::Elem;
-  using Fn = void (*)(const Kernel&, const Elem*, Elem*, std::size_t);
+  using In = typename hybrid_internal::KernelInElem<Kernel, Elem>::type;
+  using Fn = void (*)(const Kernel&, const In*, Elem*, std::size_t);
 
   static constexpr int kMaxV = MaxV;
   static constexpr int kMaxS = MaxS;
@@ -48,7 +49,7 @@ class HybridGrid {
   // Runs the kernel under `cfg`; aborts if the config is outside the grid
   // (tuners must filter with Lookup()/Supported() first).
   static void Run(const HybridConfig& cfg, const Kernel& kernel,
-                  const Elem* in, Elem* out, std::size_t n) {
+                  const In* in, Elem* out, std::size_t n) {
     Fn fn = Lookup(cfg);
     HEF_CHECK_MSG(fn != nullptr, "config %s outside compiled grid",
                   cfg.ToString().c_str());

@@ -21,6 +21,12 @@
 //     template <typename B> void Store(uint64_t* out, const State<B>& st) const;
 //   };
 //
+// A kernel whose input stream is narrower than the lanes it computes on
+// (packed 8/16/32-bit codes read by a widening load) names that element
+// type as `using InElem = ...;` and takes `const InElem*` in Load; the
+// runner then walks the input in InElem units and the output in Elem
+// units, at the same element offsets.
+//
 // Data layout per chunk (pack-major, matching Fig. 6(b)/(c)):
 //   pack k occupies [k*(v*W + s), (k+1)*(v*W + s)) relative to the chunk
 //   base, vector statements first (W = vector lanes), then scalars.
@@ -54,6 +60,17 @@ HEF_INLINE void ForEach(F&& f) {
   ForEachImpl(std::forward<F>(f), std::make_index_sequence<N>{});
 }
 
+// The kernel's input element type: Kernel::InElem when it declares one,
+// else the backend's lane type.
+template <class Kernel, class Elem, class = void>
+struct KernelInElem {
+  using type = Elem;
+};
+template <class Kernel, class Elem>
+struct KernelInElem<Kernel, Elem, std::void_t<typename Kernel::InElem>> {
+  using type = typename Kernel::InElem;
+};
+
 }  // namespace hybrid_internal
 
 // Runs `Kernel` over n elements with V vector + S scalar statements per
@@ -69,6 +86,7 @@ class HybridRunner {
 
  public:
   using Elem = typename VecB::Elem;
+  using In = typename hybrid_internal::KernelInElem<Kernel, Elem>::type;
   using SclB = typename VecB::ScalarCompanion;
   static_assert(std::is_same_v<Elem, typename SclB::Elem>,
                 "vector backend and scalar companion must agree on the "
@@ -83,7 +101,7 @@ class HybridRunner {
   // Applies the kernel to in[0..n) writing out[0..n). The bulk runs in
   // hybrid chunks; the tail (n % kChunk) runs on the scalar backend.
   static HEF_NOINLINE void Run(const Kernel& kernel,
-                               const Elem* HEF_RESTRICT in,
+                               const In* HEF_RESTRICT in,
                                Elem* HEF_RESTRICT out, std::size_t n) {
     using hybrid_internal::ForEach;
     using VState = typename Kernel::template State<VecB>;
@@ -104,7 +122,7 @@ class HybridRunner {
         sstate;
 
     for (; i + kChunk <= n; i += kChunk) {
-      const Elem* base = in + i;
+      const In* base = in + i;
       Elem* obase = out + i;
 
       // Stage 1: all loads, stage-major across every instance.

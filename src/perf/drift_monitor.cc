@@ -188,6 +188,10 @@ void DriftMonitor::Observe(const DriftKey& key,
       p.windows >= static_cast<std::uint64_t>(options_.min_windows)) {
     AdvanceCusum(p, observed, obs.nanos);
   }
+  if (p.predicted_ns_per_row <= 0 && obs.rows >= options_.min_rows &&
+      p.calibration.size() < kMaxCalibrationWindows) {
+    p.calibration.push_back(observed);
+  }
   metrics.gauge("perf.drift_keys").Set(static_cast<double>(profiles_.size()));
   std::uint64_t drifted = 0;
   for (const auto& [k, prof] : profiles_) drifted += prof.drifted ? 1 : 0;
@@ -198,8 +202,19 @@ void DriftMonitor::SealBaseline() {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& [k, p] : profiles_) {
     if (p.predicted_ns_per_row > 0) continue;
-    if (p.windows == 0 || !(p.ns_per_row_min > 0)) continue;
-    p.predicted_ns_per_row = p.ns_per_row_min;
+    std::vector<double>& windows = p.calibration;
+    if (windows.size() <
+        static_cast<std::size_t>(std::max(1, options_.min_windows))) {
+      continue;
+    }
+    const auto mid = windows.begin() + windows.size() / 2;
+    std::nth_element(windows.begin(), mid, windows.end());
+    double median = *mid;
+    if (windows.size() % 2 == 0) {
+      median = (median + *std::max_element(windows.begin(), mid)) / 2;
+    }
+    if (!(median > 0)) continue;
+    p.predicted_ns_per_row = median;
     p.sealed_baseline = true;
     p.cusum_slow = 0;
     p.cusum_fast = 0;

@@ -132,14 +132,18 @@ class DriftMonitor {
   void Observe(const DriftKey& key, const DriftObservation& obs)
       HEF_EXCLUDES(mu_);
 
-  // Adopts the minimum observed window cost as the predicted cost for
-  // every key that has none — benches call this after warmup so drift is
-  // measured against the calibrated steady state even without a tuning
-  // cache. The minimum (not the EWMA mean) is the robust choice: window
-  // noise on a shared host is one-sided — interference only ever makes a
-  // window slower — so the min converges on the true steady-state cost
-  // while a mean sealed from few windows inherits their outliers. Keys
-  // with explicit SetPrediction entries are untouched.
+  // Adopts the median cost of a key's calibration windows as its
+  // predicted cost, for every key that has none — benches call this
+  // after warm-up so drift is measured against the calibrated steady
+  // state even without a tuning cache. Calibration windows are the
+  // windows of at least min_rows rows observed since the key was created
+  // (or the last Reset); a key with fewer than min_windows of them stays
+  // unsealed. The median is the robust choice: the minimum of a handful
+  // of millisecond windows sits at the lucky tail, so ordinary jitter
+  // reads as sustained "slow" drift against it, and a mean inherits any
+  // outlier. Callers should Reset after a cold pass so plan builds and
+  // cold caches never calibrate. Keys with SetPrediction entries are
+  // untouched.
   void SealBaseline() HEF_EXCLUDES(mu_);
 
   // The tuner repointed `kernel`: clear drifted state and CUSUMs for all
@@ -173,6 +177,10 @@ class DriftMonitor {
     double ns_per_row = 0;
     double ns_per_row_var = 0;
     double ns_per_row_min = 0;  // fastest window since creation/Reset
+    // ns/row of the first kMaxCalibrationWindows windows of >= min_rows
+    // rows observed while the key had no prediction (SealBaseline's
+    // median).
+    std::vector<double> calibration;
     double ipc = 0;
     double llc_per_kilorow = 0;
     std::uint64_t windows = 0;
@@ -189,6 +197,8 @@ class DriftMonitor {
     std::string direction;
     std::uint64_t drift_events = 0;
   };
+
+  static constexpr std::size_t kMaxCalibrationWindows = 64;
 
   Profile& FindOrCreate(const DriftKey& key) HEF_REQUIRES(mu_);
   void AdvanceCusum(Profile& p, double observed, std::uint64_t nanos)

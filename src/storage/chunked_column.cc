@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "common/macros.h"
+#include "table/key_filter.h"
 
 namespace hef::storage {
 namespace {
@@ -117,6 +118,32 @@ void ChunkedColumn::GatherDecode(const HybridConfig& cfg,
     return;
   }
   DecodePacked(chunk, cfg, first, pos, n, scratch, out);
+}
+
+bool ChunkedColumn::HasCodeFilter(std::size_t row) const {
+  const ColumnChunk& chunk = chunks_[row / chunk_rows_];
+  return chunk.encoding == Encoding::kFor &&
+         (chunk.width == 0 || chunk.width >= 8);
+}
+
+ChunkedColumn::CodeFilter ChunkedColumn::FilterBlockCodes(
+    const HybridConfig& cfg, std::size_t begin, std::size_t count,
+    const KeyFilter& filter, std::uint64_t* flags) const {
+  const std::size_t c = begin / chunk_rows_;
+  const std::size_t first = begin - c * chunk_rows_;
+  HEF_CHECK_MSG(c < chunks_.size() && first + count <= chunks_[c].rows,
+                "code filter block [%zu, %zu) is not inside one chunk",
+                begin, begin + count);
+  HEF_CHECK_MSG(HasCodeFilter(begin), "chunk %zu has no code-space filter",
+                c);
+  const ColumnChunk& chunk = chunks_[c];
+  if (chunk.width == 0) {
+    return filter.Contains(chunk.reference) ? CodeFilter::kAll
+                                            : CodeFilter::kNone;
+  }
+  CodeKeyFilterArray(cfg, filter, chunk.reference, chunk.words.data(),
+                     chunk.width, first, flags, count);
+  return CodeFilter::kPerRow;
 }
 
 std::size_t ChunkedColumn::EncodedBytes() const {

@@ -12,10 +12,21 @@
 #include "storage/decode.h"
 #include "storage/encoding.h"
 
+namespace hef {
+class KeyFilter;
+}  // namespace hef
+
 namespace hef::storage {
 
 class ChunkedColumn {
  public:
+  // FilterBlockCodes' answer for one block.
+  enum class CodeFilter : std::uint8_t {
+    kPerRow,  // flags[0..count) hold 1 (the key can match) or 0
+    kAll,     // single-value chunk whose key passes: every row does
+    kNone,    // single-value chunk whose key fails: no row does
+  };
+
   ChunkedColumn() = default;
 
   // Encodes values[0..n) into chunks of chunk_rows values each (the last
@@ -49,6 +60,20 @@ class ChunkedColumn {
   void GatherDecode(const HybridConfig& cfg, std::size_t block_begin,
                     const std::uint64_t* pos, std::size_t n,
                     DecodeScratch& scratch, std::uint64_t* out) const;
+
+  // True when the chunk holding `row` can answer FilterBlockCodes: FoR
+  // chunks of width 0, 8, 16 or 32. Plain and dict chunks and FoR widths
+  // 1, 2 and 4 cannot; callers decode and filter the values instead.
+  bool HasCodeFilter(std::size_t row) const;
+
+  // Code-space semi-join over rows [begin, begin + count), which must lie
+  // in one chunk (a pipeline block) that HasCodeFilter: tests each row's
+  // value against `filter` on the packed FoR codes, without decoding
+  // them (CodeKeyFilterArray, the filter rebased onto the chunk's
+  // reference, under `cfg`). A single-value chunk answers with one test.
+  CodeFilter FilterBlockCodes(const HybridConfig& cfg, std::size_t begin,
+                              std::size_t count, const KeyFilter& filter,
+                              std::uint64_t* flags) const;
 
   // Payload bytes actually held (packed words + dictionaries + chunk
   // metadata) vs. the flat 8-bytes-per-row layout.

@@ -90,21 +90,56 @@ struct KeyFilterKernel {
   }
 };
 
+// The same test on frame-of-reference codes, for a chunk storing
+// key = reference + code. Modulo 2^64,
+//   key - lo = code - (lo - reference),
+// so running the kernel with lo rebased to lo - reference tests exactly
+// the decoded keys, and the clamp still sends every out-of-span value —
+// including codes whose rebased offset wraps — to the guard bit. Codes
+// come in through a widening load of the chunk's packed words: a width
+// W in {8, 16, 32} packs values little-endian, one after another, so the
+// words read as a plain array of W-bit integers and nothing is unpacked.
+// Mirrors examples/templates/code_key_filter.hid.
+template <typename Code>
+struct CodeKeyFilterKernel : KeyFilterKernel {
+  using InElem = Code;
+
+  template <typename B>
+  HEF_INLINE void Load(State<B>& st, const Code* in) const {
+    st.v = B::template LoadZx<8 * static_cast<int>(sizeof(Code))>(in);
+  }
+};
+
 // Tests keys[0..n) against `filter` under implementation `cfg`, writing
 // 1 (present) / 0 (absent) into out[0..n).
 void KeyFilterArray(const HybridConfig& cfg, const KeyFilter& filter,
                     const std::uint64_t* keys, std::uint64_t* out,
                     std::size_t n);
 
+// Code-space form: out[i] = filter.Contains(reference + code(first + i)),
+// i in [0, n), where code(r) is the r-th `width`-bit value packed into
+// `packed` (the layout of storage::PackBits). width must be 8, 16 or 32.
+void CodeKeyFilterArray(const HybridConfig& cfg, const KeyFilter& filter,
+                        std::uint64_t reference, const std::uint64_t* packed,
+                        std::uint8_t width, std::size_t first,
+                        std::uint64_t* out, std::size_t n);
+
 // All (v, s, p) coordinates precompiled for the key-filter kernel: the
 // same grid as the hash probe, since it runs at the join's probe point.
+// The code-space kernel compiles the same grid at every code width.
 const std::vector<HybridConfig>& KeyFilterSupportedConfigs();
+const std::vector<HybridConfig>& CodeKeyFilterSupportedConfigs();
 
 // HID template text of the kernel for a filter of `span` keys: IN is the
 // full 64-bit key domain, `ptr bits` declares exactly the words the
 // filter allocates for that span, OUT is 0..1. Text only; callers parse
 // it (hef_table does not link the codegen library).
 std::string KeyFilterTemplateText(std::uint64_t span);
+
+// HID template text of the code-space kernel over `width`-bit codes
+// (8, 16 or 32): the key filter's body behind a widening load, with IN
+// declared as the code domain 0..2^width-1.
+std::string CodeKeyFilterTemplateText(std::uint8_t width, std::uint64_t span);
 
 }  // namespace hef
 

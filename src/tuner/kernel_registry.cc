@@ -93,6 +93,14 @@ std::vector<ProvableKernel> BuildRegistry() {
   kernels.push_back({"key_filter", "key_filter",
                      KeyFilterTemplateText(kKeyFilterMaxSpan),
                      KeyFilterSupportedConfigs()});
+  // Its code-space form at every code width the chunk scan runs it on:
+  // the proof covers every W-bit code under any rebased lo.
+  for (const std::uint8_t width : {8, 16, 32}) {
+    kernels.push_back({"code_key_filter_w" + std::to_string(width),
+                       "code_key_filter",
+                       CodeKeyFilterTemplateText(width, kKeyFilterMaxSpan),
+                       CodeKeyFilterSupportedConfigs()});
+  }
 
   // One entry per SSB query. The Q1.x plans are scan-dominated — their
   // hybrid kernel is the frame-of-reference decode; every Q2–Q4 plan is

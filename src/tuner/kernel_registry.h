@@ -30,7 +30,8 @@ struct ProvableKernel {
 };
 
 // Every registered kernel: murmur, crc64, mix64, the three storage
-// decode templates, the star plan's key filter, and one entry per SSB
+// decode templates, the star plan's key filter and its code-space form
+// at each packed code width (8, 16, 32), and one entry per SSB
 // query (Q1.x map to the frame-of-reference decode that dominates their
 // scan; Q2–Q4 map to the hash-probe pipeline every join in their plans
 // runs).

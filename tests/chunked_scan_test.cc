@@ -162,13 +162,14 @@ TEST(ChunkedScanTest, DecodeRowsAttributeMaterialisedValues) {
     const OperatorStats& d = decode.at(op.name.substr(6));
     EXPECT_EQ(d.rows_in, db.chunked->rows()) << op.name;
     if (probes++ == 0) {
-      // The first probe's key decodes whole blocks...
-      EXPECT_EQ(d.rows_out, d.rows_in) << op.name;
+      // The first probe's key is filtered on its packed codes, so only
+      // the keys its key filter passes decode...
+      EXPECT_EQ(d.rows_out, op.rows_in) << op.name;
     } else {
       // ...every later column only the rows that reached it.
       EXPECT_EQ(d.rows_out, stage_rows_in) << op.name;
-      EXPECT_LT(d.rows_out, d.rows_in) << op.name;
     }
+    EXPECT_LT(d.rows_out, d.rows_in) << op.name;
     stage_rows_in = 0;
   }
   EXPECT_EQ(probes, 3);
@@ -233,6 +234,66 @@ TEST(ChunkedScanTest, KeyFilterRowsSplitTheJoinStage) {
   }
   EXPECT_GT(filtered_stages, 13);
 }
+
+// The first join's key filter runs on the packed FoR codes whenever it
+// opens the pipeline (no fact filter ran before it): its key column then
+// decodes exactly the keys the filter passed — decode.<key> rows out
+// equal keyfilter.<key> rows out — instead of whole blocks, and answers
+// stay those of the reference engine. A silent fallback to the decoded
+// path would decode every block row and fail here.
+class CodeSpaceKeyFilterTest
+    : public ::testing::TestWithParam<
+          std::tuple<storage::EncodingPolicy, Flavor>> {};
+
+TEST_P(CodeSpaceKeyFilterTest, FirstKeyDecodesOnlyFilterSurvivors) {
+  const auto [policy, flavor] = GetParam();
+  const ssb::SsbDatabase db = MakeChunkedDb(policy);
+  for (const int threads : {1, 4}) {
+    EngineConfig config = Config(flavor, true, false);
+    config.collect_stats = true;
+    config.threads = threads;
+    SsbEngine engine(db, config);
+    int code_space_queries = 0;
+    for (const QueryId id : AllQueries()) {
+      const QueryResult got = engine.Run(id);
+      EXPECT_TRUE(got == RunReferenceQuery(db, id))
+          << QueryName(id) << " threads=" << threads;
+      const OperatorStats* opener = nullptr;
+      for (const OperatorStats& op : got.operator_stats) {
+        if (op.name.rfind("filter.", 0) == 0 ||
+            op.name.rfind("keyfilter.", 0) == 0 ||
+            op.name.rfind("probe.", 0) == 0) {
+          opener = &op;
+          break;
+        }
+      }
+      ASSERT_NE(opener, nullptr) << QueryName(id);
+      if (opener->name.rfind("keyfilter.", 0) != 0) continue;
+      ++code_space_queries;
+      const std::map<std::string, OperatorStats> decode = DecodeRows(got);
+      const OperatorStats& d = decode.at(opener->name.substr(10));
+      EXPECT_EQ(d.rows_in, db.chunked->rows()) << QueryName(id);
+      EXPECT_EQ(d.rows_out, opener->rows_out)
+          << QueryName(id) << " " << opener->name << " threads=" << threads;
+      EXPECT_LT(d.rows_out, d.rows_in) << QueryName(id);
+    }
+    // Q2.1-Q4.3 all open with a selective, key-filtered join.
+    EXPECT_EQ(code_space_queries, 10) << "threads=" << threads;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PoliciesAndFlavors, CodeSpaceKeyFilterTest,
+    ::testing::Combine(::testing::Values(storage::EncodingPolicy::kAuto,
+                                         storage::EncodingPolicy::kFor),
+                       ::testing::Values(Flavor::kScalar, Flavor::kSimd,
+                                         Flavor::kHybrid)),
+    [](const ::testing::TestParamInfo<CodeSpaceKeyFilterTest::ParamType>&
+           info) {
+      return std::string(
+                 storage::EncodingPolicyName(std::get<0>(info.param))) +
+             "_" + FlavorName(std::get<1>(info.param));
+    });
 
 TEST(ChunkedScanTest, PlainChunksHandOutFullBlocksWithoutCopy) {
   const ssb::SsbDatabase db = MakeChunkedDb(storage::EncodingPolicy::kPlain);

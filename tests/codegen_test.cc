@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 
 #include "algo/crc64.h"
@@ -14,6 +15,7 @@
 #include "codegen/translator.h"
 #include "common/aligned_buffer.h"
 #include "common/rng.h"
+#include "table/key_filter.h"
 
 namespace hef {
 namespace {
@@ -239,6 +241,61 @@ TEST_F(OfflineDriverTest, GeneratedAvx2MurmurMatchesLibrary) {
   kernel.value().Run(in.data(), out.data(), n, nullptr);
   for (std::size_t i = 0; i < n; ++i) {
     ASSERT_EQ(out[i], Murmur64(in[i])) << i;
+  }
+}
+
+// The widening loads' lowerings compile and read the packed codes the
+// runtime kernel reads: the generated code-space key filter at every
+// code width, on AVX-512 and AVX2, against CodeKeyFilterArray.
+TEST(OfflineDriverWideningTest, GeneratedCodeKeyFilterMatchesLibrary) {
+  constexpr std::uint64_t kSpan = 6000;
+  // The template fixes lo = 1, i.e. a filter over [1, kSpan] applied to
+  // a chunk with reference 0.
+  KeyFilter filter(1, kSpan);
+  Rng rng(11);
+  for (std::uint64_t k = 1; k <= kSpan; ++k) {
+    if (rng.Next() % 3 == 0) filter.Insert(k);
+  }
+  filter.Insert(1);
+  filter.Insert(kSpan);
+  OfflineDriver driver("/tmp/hef_codegen_test");
+  for (const std::uint8_t width : {8, 16, 32}) {
+    const auto op =
+        OperatorTemplate::Parse(CodeKeyFilterTemplateText(width, kSpan));
+    ASSERT_TRUE(op.ok()) << op.status().ToString();
+    const std::size_t n = 301;  // bulk + tail
+    const std::uint64_t mask = (1ULL << width) - 1;
+    AlignedBuffer<std::uint64_t> packed(n * width / 64 + 1, 64);
+    std::fill(packed.data(), packed.data() + packed.size(), 0);
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint64_t code =
+          i < 4 ? std::uint64_t{i} : (i % 2 ? rng.Next() % (kSpan + 3)
+                                            : rng.Next() & mask);
+      packed[i * width / 64] |= code << (i * width % 64);
+    }
+    AlignedBuffer<std::uint64_t> want(n, 64), got(n, 64);
+    CodeKeyFilterArray(HybridConfig{0, 1, 1}, filter, 0, packed.data(),
+                       width, 0, want.data(), n);
+    for (const Isa isa : {Isa::kAvx512, Isa::kAvx2}) {
+      TranslateOptions options;
+      options.config = {1, 2, 2};
+      options.vector_isa = isa;
+      const auto source =
+          TranslateOperator(op.value(), DescriptionTable::Builtin(), options);
+      ASSERT_TRUE(source.ok()) << source.status().ToString();
+      EXPECT_NE(source.value().find("const uint" + std::to_string(width) +
+                                    "_t* in"),
+                std::string::npos);
+      auto kernel = driver.Compile(
+          source.value(), "code_key_filter_w" + std::to_string(width) + "_" +
+                              IsaName(isa));
+      ASSERT_TRUE(kernel.ok()) << kernel.status().ToString();
+      kernel.value().Run(packed.data(), got.data(), n, filter.words());
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(got[i], want[i])
+            << "width " << int(width) << " " << IsaName(isa) << " elem " << i;
+      }
+    }
   }
 }
 

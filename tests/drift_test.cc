@@ -162,22 +162,38 @@ TEST(DriftMonitorTest, SetPredictionRestartsCusum) {
   EXPECT_EQ(m.drift_events(), 0u);
 }
 
-TEST(DriftMonitorTest, SealBaselineUsesMinimumObservedWindow) {
+TEST(DriftMonitorTest, SealBaselineUsesMedianOfCalibrationWindows) {
   DriftMonitor m;
   std::uint64_t seq = 0;
-  // Calibration: noisy windows around a 10 ns/row floor. No prediction,
-  // so nothing can fire yet.
-  Feed(m, Key(), 14.0, seq++);
-  Feed(m, Key(), 10.0, seq++);
-  Feed(m, Key(), 12.0, seq++);
+  // Calibration: windows around 13 ns/row with one lucky 10. No
+  // prediction, so nothing can fire yet.
+  for (const double ns : {13.0, 10.0, 14.0, 13.0, 12.5}) {
+    Feed(m, Key(), ns, seq++);
+  }
   EXPECT_EQ(m.drift_events(), 0u);
   m.SealBaseline();
-  // Steady state at the floor: within slack of the sealed minimum.
-  for (int i = 0; i < 50; ++i) Feed(m, Key(), 10.5, seq++);
+  // Steady state at the typical cost: within slack of the sealed median
+  // (the lucky minimum would read every window as +35%, "slow").
+  for (int i = 0; i < 50; ++i) Feed(m, Key(), 13.5, seq++);
   EXPECT_EQ(m.drift_events(), 0u);
   // A genuine slowdown against the sealed baseline fires.
   for (int i = 0; i < 5; ++i) Feed(m, Key(), 40.0, seq++);
   EXPECT_EQ(m.drift_events(), 1u);
+
+  // Too few calibration windows (or only near-empty ones): the key stays
+  // unsealed and nothing fires against a guess.
+  DriftMonitor sparse;
+  seq = 0;
+  Feed(sparse, Key(), 10.0, seq++);
+  Feed(sparse, Key(), 10.0, seq++);
+  DriftObservation tiny;
+  tiny.nanos = (++seq) * kSecond;
+  tiny.rows = 8;
+  tiny.wall_nanos = 80;
+  sparse.Observe(Key(), tiny);
+  sparse.SealBaseline();
+  for (int i = 0; i < 20; ++i) Feed(sparse, Key(), 40.0, seq++);
+  EXPECT_EQ(sparse.drift_events(), 0u);
 }
 
 TEST(DriftMonitorTest, SealBaselineKeepsTunerPredictions) {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <map>
 #include <set>
 #include <string>
@@ -207,8 +208,9 @@ TEST(KernelProver, EveryRegisteredKernelProvesAcrossItsFullGrid) {
   // query.
   for (const char* required :
        {"murmur", "crc64", "mix64", "unpack_bits", "for_add", "dict_gather",
-        "key_filter", "ssb_q1.1", "ssb_q1.2", "ssb_q1.3", "ssb_q2.1", "ssb_q2.2",
-        "ssb_q2.3", "ssb_q3.1", "ssb_q3.2", "ssb_q3.3", "ssb_q3.4",
+        "key_filter", "code_key_filter_w8", "code_key_filter_w16",
+        "code_key_filter_w32", "ssb_q1.1", "ssb_q1.2", "ssb_q1.3",
+        "ssb_q2.1", "ssb_q2.2", "ssb_q2.3", "ssb_q3.1", "ssb_q3.2", "ssb_q3.3", "ssb_q3.4",
         "ssb_q4.1", "ssb_q4.2", "ssb_q4.3"}) {
     EXPECT_EQ(seen_kernels.count(required), 1u) << required;
   }
@@ -248,6 +250,79 @@ TEST(KernelProver, KeyFilterWithoutClampRefutedHid013) {
       op, DescriptionTable::Builtin(), ProveOptions{});
   EXPECT_FALSE(proof.proven());
   EXPECT_TRUE(HasRule(proof.diagnostics, "HID013"));
+}
+
+TEST(KernelProver, CodeKeyFilterWithoutClampRefutedHid013) {
+  // The code-space form at every width: codes are bounded, but the
+  // rebased lo may exceed them, so without the clamp the offset wraps
+  // and the word gather leaves the bitmap.
+  for (const std::uint8_t width : {8, 16, 32}) {
+    std::string text = CodeKeyFilterTemplateText(width, 6000);
+    const std::string clamp = "d = hi_min_epu64(d, span)\n";
+    ASSERT_NE(text.find(clamp), std::string::npos);
+    EXPECT_TRUE(analysis::ProveKernel(OperatorTemplate::Parse(text).value(),
+                                      DescriptionTable::Builtin(),
+                                      ProveOptions{})
+                    .proven())
+        << int(width);
+    text.erase(text.find(clamp), clamp.size());
+    const KernelProof proof =
+        analysis::ProveKernel(OperatorTemplate::Parse(text).value(),
+                              DescriptionTable::Builtin(), ProveOptions{});
+    EXPECT_FALSE(proof.proven()) << int(width);
+    EXPECT_TRUE(HasRule(proof.diagnostics, "HID013")) << int(width);
+  }
+}
+
+TEST(KernelProver, CodeKeyFilterWrongLoadWidthRefuted) {
+  // A kernel that reads the packed codes at the wrong width computes on
+  // different lanes: its emitted source must not prove against the
+  // template, whether the mutation sits in the template it was
+  // translated from or in the emitted load itself.
+  const OperatorTemplate reference =
+      OperatorTemplate::Parse(CodeKeyFilterTemplateText(16, 6000)).value();
+  std::string text = CodeKeyFilterTemplateText(16, 6000);
+  const std::string from = "hi_load_epu16(IN)";
+  ASSERT_NE(text.find(from), std::string::npos);
+  text.replace(text.find(from), from.size(), "hi_load_epu8(IN)");
+  const OperatorTemplate mutant = OperatorTemplate::Parse(text).value();
+  for (const HybridConfig cfg :
+       {HybridConfig{1, 0, 1}, HybridConfig{0, 1, 1}, HybridConfig{2, 3, 2}}) {
+    const std::string src = Translate(mutant, cfg);
+    Result<EquivalenceReport> report = analysis::ProveEquivalence(
+        reference, mutant, src, DescriptionTable::Builtin(), cfg,
+        Isa::kAvx512);
+    ASSERT_TRUE(report.ok());
+    EXPECT_FALSE(report.value().proven) << cfg.ToString();
+  }
+
+  const HybridConfig cfg{1, 1, 1};
+  std::string src = Translate(reference, cfg);
+  EXPECT_TRUE(analysis::ProveEquivalence(reference, src,
+                                         DescriptionTable::Builtin(), cfg,
+                                         Isa::kAvx512)
+                  .value()
+                  .proven);
+  const std::string load = "_mm512_maskz_cvtepu16_epi64";
+  ASSERT_NE(src.find(load), std::string::npos);
+  src.replace(src.find(load), load.size(), "_mm512_maskz_cvtepu8_epi64");
+  Result<EquivalenceReport> tampered = analysis::ProveEquivalence(
+      reference, src, DescriptionTable::Builtin(), cfg, Isa::kAvx512);
+  ASSERT_TRUE(tampered.ok());
+  EXPECT_FALSE(tampered.value().proven);
+}
+
+TEST(KernelProver, WideningLoadsMustAgreeOnTheInputWidth) {
+  std::string text = CodeKeyFilterTemplateText(16, 6000);
+  const std::string second = "sh = hi_and_epi64(d, c63)\n";
+  ASSERT_NE(text.find(second), std::string::npos);
+  text.replace(text.find(second), second.size(), "sh = hi_load_epu8(IN)\n");
+  EXPECT_FALSE(OperatorTemplate::Parse(text).ok());
+  const OperatorTemplate op = OperatorTemplate::ParseSyntaxOnly(text).value();
+  analysis::VerifyOptions vopts;
+  EXPECT_TRUE(HasRule(
+      analysis::VerifyTemplate(op, DescriptionTable::Builtin(), vopts),
+      "HID004"));
 }
 
 TEST(KernelProver, GoldenOverflowUnderNowrapRefutedHid014) {
@@ -398,6 +473,33 @@ TEST(ValueRange, TransferFunctionsAreSoundOnKnownCases) {
       ValueRange::Between(10, 20), ValueRange::Between(5, 100));
   EXPECT_EQ(lower.lo, 5u);
   EXPECT_EQ(lower.hi, 20u);
+}
+
+TEST(ValueRange, WideningLoadsBoundTheirLanes) {
+  for (const std::uint8_t width : {8, 16, 32}) {
+    char text[256];
+    std::snprintf(text, sizeof(text),
+                  "operator t\nvar v\nbody:\n"
+                  "v = hi_load_epu%u(IN)\n"
+                  "hi_store_epi64(OUT, v)\n",
+                  static_cast<unsigned>(width));
+    const OperatorTemplate op = OperatorTemplate::Parse(text).value();
+    const analysis::RangeAnalysis ranges =
+        analysis::AnalyzeValueRanges(op, /*require_bounded_gathers=*/true);
+    ASSERT_TRUE(ranges.has_output);
+    EXPECT_EQ(ranges.output.lo, 0u);
+    EXPECT_EQ(ranges.output.hi, (1ULL << width) - 1) << int(width);
+  }
+}
+
+TEST(SymbolicEquivalence, WideningLoadsAreDistinctLaneSymbols) {
+  analysis::ExprArena arena;
+  EXPECT_EQ(arena.Input(3, 16), arena.Input(3, 16));
+  EXPECT_NE(arena.Input(3, 16), arena.Input(3, 8));
+  EXPECT_NE(arena.Input(3, 16), arena.Input(3));
+  EXPECT_EQ(arena.Input(3), arena.Input(3, 64));
+  EXPECT_EQ(analysis::ExprToString(arena.Input(2, 32)), "in_u32[2]");
+  EXPECT_EQ(analysis::ExprToString(arena.Input(2)), "in[2]");
 }
 
 TEST(SymbolicEquivalence, UnsignedMinNormalizes) {

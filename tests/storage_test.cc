@@ -1,8 +1,9 @@
 // Unit tests for the chunked column storage layer: encoding round-trips,
 // zone-map / histogram pruning semantics (including the boundary and null
 // cases the engine's pruning pass relies on), the decode kernels across
-// (v, s, p) coordinates, and the late-materialising GatherDecode checked
-// bit for bit against DecodeRange + gather.
+// (v, s, p) coordinates, the late-materialising GatherDecode checked
+// bit for bit against DecodeRange + gather, and the code-space key filter
+// checked against decode-then-KeyFilter::Contains.
 
 #include <algorithm>
 #include <cstdint>
@@ -17,6 +18,7 @@
 #include "storage/chunked_column.h"
 #include "storage/decode.h"
 #include "storage/encoding.h"
+#include "table/key_filter.h"
 
 namespace hef::storage {
 namespace {
@@ -467,6 +469,155 @@ TEST(GatherDecodeTest, DecodeBlockHandsOutPlainPayloadWithoutCopy) {
           << EncodingName(c.encoding) << " width " << int(c.width);
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// FilterBlockCodes (code-space key filter)
+
+// Only FoR chunks of width 0, 8, 16 and 32 filter in code space; every
+// other encoding and width falls back to decode-then-filter.
+TEST(CodeFilterTest, CodePathExactlyForFoRAtByteWidths) {
+  int code_paths = 0;
+  for (const EncodedCase& c : GatherCases()) {
+    const bool want = c.encoding == Encoding::kFor &&
+                      (c.width == 0 || c.width == 8 || c.width == 16 ||
+                       c.width == 32);
+    for (std::size_t row = 0; row < c.col.size(); row += kGatherChunkRows) {
+      EXPECT_EQ(c.col.HasCodeFilter(row), want)
+          << EncodingName(c.encoding) << " width " << int(c.width);
+    }
+    code_paths += want;
+  }
+  EXPECT_EQ(code_paths, 4);
+}
+
+// A key filter over [lo, hi] holding lo, hi and about half the keys
+// between.
+KeyFilter MakeFilter(std::uint64_t lo, std::uint64_t hi, Rng& rng) {
+  KeyFilter filter(lo, hi);
+  filter.Insert(lo);
+  filter.Insert(hi);
+  for (std::uint64_t k = lo + 1; k < hi; ++k) {
+    if (rng.Next() % 2 == 0) filter.Insert(k);
+  }
+  return filter;
+}
+
+// Every width the code path reads, every compiled (v, s, p) point, and
+// filters placed so that lo - reference is positive (A, D), wraps below
+// zero (B), or leaves every code outside the span (C): each row's flag
+// must equal KeyFilter::Contains on its decoded value. The columns hold
+// every filter's lo, hi and guard key (hi + 1), so the span edges and
+// the guard bit are tested in every block.
+TEST(CodeFilterTest, MatchesDecodeThenContainsEveryWidthAndConfig) {
+  constexpr std::uint64_t kBase = 19920101;
+  for (const std::uint8_t width : {8, 16, 32}) {
+    SCOPED_TRACE(::testing::Message() << "width " << int(width));
+    Rng rng(width);
+    const std::uint64_t max = kBase + (1ULL << width) - 1;
+    const std::uint64_t mid = kBase + (1ULL << (width - 1));
+    std::vector<KeyFilter> filters;
+    filters.push_back(MakeFilter(mid - 40, mid + 59, rng));        // A
+    filters.push_back(MakeFilter(kBase - 50, kBase + 49, rng));    // B
+    filters.push_back(MakeFilter(max + 1, max + 100, rng));        // C
+    filters.push_back(MakeFilter(max - 30, max - 1, rng));         // D
+    // Keys worth testing: each filter's edges and guard key, where the
+    // chunk's frame can hold them, then random keys inside the spans.
+    std::vector<std::uint64_t> edges;
+    for (const KeyFilter& f : filters) {
+      const std::uint64_t lo = f.lo();
+      const std::uint64_t hi = f.lo() + f.span() - 1;
+      for (const std::uint64_t k : {lo - 1, lo, lo + 1, hi - 1, hi, hi + 1}) {
+        if (k >= kBase && k <= max) edges.push_back(k);
+      }
+    }
+    std::vector<std::uint64_t> values(kGatherRows);
+    for (std::size_t i = 0; i < kGatherRows; ++i) {
+      const std::size_t r = i % kGatherChunkRows;
+      if (r == 0) {
+        values[i] = kBase;  // every chunk's reference...
+      } else if (r == 1) {
+        values[i] = max;    // ...and full code width
+      } else if (rng.Next() % 4 == 0) {
+        values[i] = edges[rng.Next() % edges.size()];
+      } else if (rng.Next() % 2 == 0) {
+        const KeyFilter& f = filters[rng.Next() % 2 == 0 ? 0 : 1];
+        values[i] = std::max(kBase, f.lo() + rng.Next() % f.span());
+      } else {
+        values[i] = kBase + (rng.Next() & ((1ULL << width) - 1));
+      }
+    }
+    const ChunkedColumn col = ChunkedColumn::Encode(
+        values.data(), values.size(), kGatherChunkRows, EncodingPolicy::kFor);
+    ASSERT_EQ(col.num_chunks(), 3u);
+    for (std::size_t k = 0; k < col.num_chunks(); ++k) {
+      ASSERT_EQ(col.chunk(k).width, width);
+      ASSERT_EQ(col.chunk(k).reference, kBase);
+    }
+    // A chunk-start block, a block at an odd offset inside a chunk (an
+    // unaligned code address), and the whole short last chunk.
+    const struct { std::size_t begin, rows; } blocks[] = {
+        {0, kGatherBlock},
+        {kGatherChunkRows + 13, 1001},
+        {2 * kGatherChunkRows, 1500}};
+    for (const auto& block : blocks) {
+      for (const KeyFilter& f : filters) {
+        std::vector<std::uint64_t> want(block.rows);
+        std::uint64_t passed = 0;
+        for (std::size_t i = 0; i < block.rows; ++i) {
+          want[i] = f.Contains(values[block.begin + i]) ? 1 : 0;
+          passed += want[i];
+        }
+        // A and B must pass some keys and reject others; C none.
+        if (f.lo() <= max) {
+          ASSERT_GT(passed, 0u) << "filter lo " << f.lo();
+          ASSERT_LT(passed, block.rows) << "filter lo " << f.lo();
+        } else {
+          ASSERT_EQ(passed, 0u);
+        }
+        for (const HybridConfig& cfg : CodeKeyFilterSupportedConfigs()) {
+          std::vector<std::uint64_t> flags(block.rows + 1, 0xdeadULL);
+          ASSERT_EQ(col.FilterBlockCodes(cfg, block.begin, block.rows, f,
+                                         flags.data()),
+                    ChunkedColumn::CodeFilter::kPerRow);
+          for (std::size_t i = 0; i < block.rows; ++i) {
+            ASSERT_EQ(flags[i], want[i])
+                << cfg.ToString() << " block " << block.begin << " row "
+                << i << " value " << values[block.begin + i]
+                << " filter lo " << f.lo();
+          }
+          ASSERT_EQ(flags[block.rows], 0xdeadULL) << cfg.ToString();
+        }
+      }
+    }
+  }
+}
+
+// A single-value chunk answers the whole block with one test.
+TEST(CodeFilterTest, SingleValueChunkAnswersWholeBlock) {
+  const std::vector<std::uint64_t> values(kGatherChunkRows + 100, 500);
+  const ChunkedColumn col = ChunkedColumn::Encode(
+      values.data(), values.size(), kGatherChunkRows, EncodingPolicy::kFor);
+  ASSERT_EQ(col.chunk(1).width, 0);
+  ASSERT_TRUE(col.HasCodeFilter(kGatherChunkRows));
+  KeyFilter holds(400, 600);
+  holds.Insert(500);
+  KeyFilter misses(400, 600);
+  misses.Insert(499);
+  misses.Insert(501);
+  const KeyFilter below(501, 600);
+  std::vector<std::uint64_t> flags(kGatherBlock, 0xdeadULL);
+  const HybridConfig cfg{1, 1, 1};
+  using CodeFilter = ChunkedColumn::CodeFilter;
+  EXPECT_EQ(col.FilterBlockCodes(cfg, 0, kGatherBlock, holds, flags.data()),
+            CodeFilter::kAll);
+  EXPECT_EQ(col.FilterBlockCodes(cfg, kGatherChunkRows, 100, misses,
+                                 flags.data()),
+            CodeFilter::kNone);
+  EXPECT_EQ(col.FilterBlockCodes(cfg, 0, kGatherBlock, below, flags.data()),
+            CodeFilter::kNone);
+  // The verdict needs no flags.
+  EXPECT_EQ(flags[0], 0xdeadULL);
 }
 
 TEST(DecodeScratchTest, GrowsAndKeepsIota) {

@@ -3,7 +3,6 @@
 //   hef info                          host CPU, processor model, ports
 //   hef tune [--cache=PATH]           tune all built-in kernels, persist
 //   hef query --query=2.1 --sf=0.1    run an SSB query (all engines)
-//   hef sql --query=2.1               print the query's SQL
 //   hef generate --config=v1s3p2      print translator output
 //   hef lint a.hid b.hid [--json=..]  verify templates (HID001… rules)
 //   hef lint --prove                  prove every registered kernel
@@ -466,28 +465,6 @@ int CmdQuery(int argc, char** argv) {
     std::printf("  ... %zu more rows\n", result.rows.size() - limit);
   }
   return correct ? 0 : 1;
-}
-
-int CmdSql(int argc, char** argv) {
-  FlagParser flags;
-  flags.AddString("query", "", "SSB query (omit for all)");
-  if (!flags.Parse(argc, argv).ok() || flags.HelpRequested()) {
-    flags.PrintUsage("hef sql");
-    return flags.HelpRequested() ? 0 : 1;
-  }
-  if (flags.GetString("query").empty()) {
-    for (const QueryId id : AllQueries()) {
-      std::printf("-- %s\n%s\n\n", QueryName(id), QuerySql(id));
-    }
-    return 0;
-  }
-  const auto query = ParseQueryId(flags.GetString("query"));
-  if (!query.ok()) {
-    std::fprintf(stderr, "%s\n", query.status().ToString().c_str());
-    return 1;
-  }
-  std::printf("%s\n", QuerySql(query.value()));
-  return 0;
 }
 
 int CmdGenerate(int argc, char** argv) {
@@ -1012,7 +989,6 @@ int Dispatch(const std::string& cmd, int argc, char** argv) {
   if (cmd == "info") return CmdInfo(argc, argv);
   if (cmd == "tune") return CmdTune(argc, argv);
   if (cmd == "query") return CmdQuery(argc, argv);
-  if (cmd == "sql") return CmdSql(argc, argv);
   if (cmd == "generate") return CmdGenerate(argc, argv);
   if (cmd == "lint") return CmdLint(argc, argv);
   if (cmd == "serve") return CmdServe(argc, argv);
@@ -1057,7 +1033,7 @@ int Main(int argc, char** argv) {
       std::strcmp(argv[1], "-h") == 0) {
     std::fprintf(stderr,
                  "usage: hef [--trace=PATH] [--metrics_port=N] "
-                 "<info|tune|query|sql|generate|lint|serve> [flags]\n");
+                 "<info|tune|query|generate|lint|serve> [flags]\n");
     return argc < 2 ? 1 : 0;
   }
   const std::string cmd = argv[1];
